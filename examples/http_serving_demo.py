@@ -11,7 +11,7 @@ Walks the full online story of the reproduction stack:
    with :mod:`repro.loadgen`, hot-swapping ``v2`` in mid-run through the
    admin API — zero requests dropped;
 5. print the loadgen report next to the server's own latency quantiles and
-   the service's batch-control / coalescing stats, then drain gracefully.
+   the service's batching / coalescing stats, then drain gracefully.
 
 Run with:  python examples/http_serving_demo.py
 """
@@ -60,9 +60,9 @@ def main() -> None:
         ExperimentRunner(config, corpus=corpus).run()
 
         print("\n[2] Serving cuisine@v1 over HTTP (v2 deployed dark)...")
-        # Adaptive batch control: lone requests flush immediately, a backlog
-        # grows batches toward the 25ms latency objective.
-        gateway = ModelGateway(batch_policy="adaptive", slo_ms=25.0)
+        # Natural batching: lone requests flush immediately, and requests
+        # that queue while a batch runs share the next model pass.
+        gateway = ModelGateway()
         gateway.deploy("cuisine", "v1", f"{export_dir}/logreg")
         gateway.deploy("cuisine", "v2", f"{export_dir}/naive_bayes", activate=False)
         # trace_capacity covers the whole loadgen run so the slowest
@@ -129,12 +129,10 @@ def main() -> None:
             f"{name}: mean={snapshot['mean_ms']:.2f}ms p99={snapshot['p99_ms']:.2f}ms"
             for name, snapshot in stages.items() if "mean_ms" in snapshot
         ))
-        batching = service_stats["batching"]
         batch_size = stages["batch_size"]
         queue_depth = stages["queue_depth"]
         print(
-            f"    batch control         policy={batching['policy']} "
-            f"window={batching['window_ms']:.1f}ms "
+            f"    natural batching      "
             f"batch p50={batch_size['p50']:.0f} max={batch_size['max']:.0f} "
             f"queue p99={queue_depth['p99']:.0f}"
         )

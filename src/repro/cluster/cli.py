@@ -90,24 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="per-worker micro-batch size cap",
     )
-    parser.add_argument(
-        "--flush-interval",
-        type=float,
-        help="per-worker fixed-policy flush window in seconds "
-        "(0 never waits; worker default 0.005)",
-    )
-    parser.add_argument(
-        "--batch-policy",
-        choices=("fixed", "adaptive"),
-        help="per-worker micro-batch flush control (see repro-serve "
-        "--batch-policy)",
-    )
-    parser.add_argument(
-        "--slo-ms",
-        type=float,
-        help="per-request latency objective (ms) for the adaptive batch "
-        "policy, forwarded to every worker",
-    )
     parser.add_argument("--max-inflight", type=int)
     parser.add_argument(
         "--service-time",
@@ -205,9 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         mmap_bundles=args.mmap_bundles,
         cache_size=args.cache_size,
         max_batch_size=args.max_batch_size,
-        flush_interval=args.flush_interval,
-        batch_policy=args.batch_policy,
-        slo_ms=args.slo_ms,
         service_time=args.service_time,
         max_inflight=args.max_inflight,
         drain_timeout=args.drain_timeout,

@@ -12,7 +12,9 @@ structural recursion:
   queue depths) routes likewise to
   :func:`~repro.observability.merge_distribution_snapshots`;
 * integer leaves (request/error/cache counters, capacities, in-flight
-  gauges) **sum** — the fleet serves the union of the workers' traffic;
+  gauges) **sum** — the fleet serves the union of the workers' traffic —
+  except per-worker maxima (``uptime_seconds``, ``largest_batch``), which
+  take the fleet **max**;
 * float leaves (``mean_batch_size``, ``agreement_rate``) **average** over
   the workers reporting a value — an unweighted approximation, exact when
   traffic spreads evenly;
@@ -49,11 +51,11 @@ __all__ = [
 #: Keys that identify a single worker and are meaningless fleet-wide.
 _PER_WORKER_KEYS = frozenset({"worker_id"})
 
-#: Process-gauge keys with dedicated merge semantics: summing or averaging
-#: pids is meaningless, and averaging uptimes hides the youngest/oldest
-#: worker mid-rolling-restart.
+#: Keys with dedicated merge semantics: summing or averaging pids is
+#: meaningless, averaging uptimes hides the oldest worker mid-rolling-restart,
+#: and the fleet's largest batch is the largest any worker flushed.
 _PID_KEYS = frozenset({"pid"})
-_MAX_KEYS = frozenset({"uptime_seconds"})
+_MAX_KEYS = frozenset({"uptime_seconds", "largest_batch"})
 
 
 def _is_latency_snapshot(value: object) -> bool:
@@ -117,7 +119,8 @@ def _merge_values(key: str, values: list):
         for value in present
     ):
         # Fleet uptime is the oldest worker's — averaging would dip on every
-        # rolling restart even though the fleet never went down.
+        # rolling restart even though the fleet never went down.  Likewise a
+        # fleet's largest batch is one worker's, never a sum of maxima.
         return max(present)
     if all(_is_latency_snapshot(value) for value in present):
         return merge_latency_snapshots(present)

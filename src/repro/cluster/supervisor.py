@@ -163,9 +163,8 @@ class ClusterSupervisor:
         mmap_bundles: Workers map bundle arrays from the shared extracted
             archive instead of copying them per process (default on — the
             point of a prefork fleet).
-        cache_size / max_batch_size / flush_interval / batch_policy /
-            slo_ms / service_time / max_inflight / drain_timeout:
-            Forwarded to each worker's CLI.
+        cache_size / max_batch_size / service_time / max_inflight /
+            drain_timeout: Forwarded to each worker's CLI.
         admin_token: Enables ``/admin`` and ``/cluster`` verbs on the
             control server, and is handed to workers via the environment.
         workdir: Scratch directory for ready-files and demo training
@@ -190,9 +189,6 @@ class ClusterSupervisor:
         mmap_bundles: bool = True,
         cache_size: int | None = None,
         max_batch_size: int | None = None,
-        flush_interval: float | None = None,
-        batch_policy: str | None = None,
-        slo_ms: float | None = None,
         service_time: float = 0.0,
         max_inflight: int | None = None,
         drain_timeout: float = 30.0,
@@ -226,9 +222,6 @@ class ClusterSupervisor:
         self.mmap_bundles = mmap_bundles
         self.cache_size = cache_size
         self.max_batch_size = max_batch_size
-        self.flush_interval = flush_interval
-        self.batch_policy = batch_policy
-        self.slo_ms = slo_ms
         self.service_time = service_time
         self.max_inflight = max_inflight
         self.drain_timeout = drain_timeout
@@ -422,12 +415,6 @@ class ClusterSupervisor:
             command += ["--cache-size", str(self.cache_size)]
         if self.max_batch_size is not None:
             command += ["--max-batch-size", str(self.max_batch_size)]
-        if self.flush_interval is not None:
-            command += ["--flush-interval", str(self.flush_interval)]
-        if self.batch_policy is not None:
-            command += ["--batch-policy", self.batch_policy]
-        if self.slo_ms is not None:
-            command += ["--slo-ms", str(self.slo_ms)]
         if self.service_time > 0:
             command += ["--service-time", str(self.service_time)]
         if self.max_inflight is not None:

@@ -29,7 +29,7 @@ Arrival processes model *when* requests land:
   phases fire at ``burst_factor ×`` the base rate, OFF phases at a
   compensating lower rate, so the time-averaged rate stays close to
   ``rate`` while short bursts pile requests into the service's queue —
-  the shape that exercises adaptive batching and coalescing.
+  the shape that exercises natural batching and coalescing.
 """
 
 from __future__ import annotations

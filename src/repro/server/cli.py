@@ -93,29 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-batch-size",
         type=int,
-        help="micro-batch size cap of the prediction service worker",
-    )
-    parser.add_argument(
-        "--flush-interval",
-        type=float,
-        help="seconds the fixed batch policy waits for a micro-batch to "
-        "fill after its first request (0 never waits; service default "
-        "0.005)",
-    )
-    parser.add_argument(
-        "--batch-policy",
-        choices=("fixed", "adaptive"),
-        help="micro-batch flush control: 'fixed' (constant "
-        "--max-batch-size/--flush-interval, the default) or 'adaptive' "
-        "(SLO-aware windows sized from observed queue depth: flush "
-        "immediately when idle or deeply backlogged, wait a fraction of "
-        "--slo-ms otherwise)",
-    )
-    parser.add_argument(
-        "--slo-ms",
-        type=float,
-        help="per-request latency objective (milliseconds) the adaptive "
-        "batch policy budgets its flush windows from (default 25)",
+        help="most requests one micro-batch flush takes; the worker flushes "
+        "at once with whatever is queued and never waits for a batch to fill",
     )
     parser.add_argument(
         "--service-time",
@@ -285,12 +264,6 @@ def main(argv: list[str] | None = None) -> int:
         gateway_kwargs["cache_size"] = args.cache_size
     if args.max_batch_size is not None:
         gateway_kwargs["max_batch_size"] = args.max_batch_size
-    if args.flush_interval is not None:
-        gateway_kwargs["flush_interval"] = args.flush_interval
-    if args.batch_policy is not None:
-        gateway_kwargs["batch_policy"] = args.batch_policy
-    if args.slo_ms is not None:
-        gateway_kwargs["slo_ms"] = args.slo_ms
     sock = None
     if args.socket_fd is not None:
         sock = socket.socket(fileno=args.socket_fd)

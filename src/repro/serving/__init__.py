@@ -16,20 +16,9 @@ The subsystem turns exported model bundles into a running inference layer:
 * :mod:`repro.serving.cache` — :class:`ShardedResultCache`, the
   epoch-guarded LRU result cache partitioned into independently-locked
   stripes, which also hosts the single-flight registry coalescing identical
-  concurrent requests;
-* :mod:`repro.serving.batching` — the pluggable flush control of the
-  micro-batch worker: :class:`FixedBatchPolicy` (constant size/timeout,
-  the default) and :class:`AdaptiveBatchPolicy` (SLO-aware windows sized
-  from observed queue depth).
+  concurrent requests.
 """
 
-from repro.serving.batching import (
-    AdaptiveBatchPolicy,
-    BatchPlan,
-    BatchPolicy,
-    FixedBatchPolicy,
-    resolve_batch_policy,
-)
 from repro.serving.bundle import (
     ModelBundle,
     discover_bundles,
@@ -45,11 +34,7 @@ from repro.serving.featurizer import (
 from repro.serving.service import PredictionService
 
 __all__ = [
-    "AdaptiveBatchPolicy",
     "BatchFeaturizer",
-    "BatchPlan",
-    "BatchPolicy",
-    "FixedBatchPolicy",
     "InFlight",
     "ModelBundle",
     "PrecomputedHashingEncoder",
@@ -59,5 +44,4 @@ __all__ = [
     "discover_bundles",
     "load_bundles",
     "validate_manifest",
-    "resolve_batch_policy",
 ]

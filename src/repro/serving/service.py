@@ -7,10 +7,12 @@ from bundles), featurizes raw recipe item sequences through one shared, warm
 three paths:
 
 * :meth:`~PredictionService.predict` / :meth:`~PredictionService.predict_proba`
-  — single requests.  Concurrent callers are **micro-batched**: requests
-  enter a bounded queue and a worker thread flushes them as one model pass
-  under a pluggable :class:`~repro.serving.batching.BatchPolicy` (fixed
-  size/timeout by default; SLO-aware adaptive sizing optionally).
+  — single requests.  Concurrent callers are **naturally batched**: requests
+  enter a bounded queue and a worker thread flushes them as one model pass.
+  The worker never waits for a batch to fill: it takes the first request as
+  soon as it arrives, plus whatever queued while the previous pass ran (up
+  to ``max_batch_size``).  A lone request on an idle service is a batch of
+  one; under load the queue fills on its own.
 * :meth:`~PredictionService.predict_batch` /
   :meth:`~PredictionService.predict_proba_batch` — explicit batches,
   featurized and predicted in one pass.
@@ -46,7 +48,6 @@ from repro.observability import CounterSet, RollingLatency, StageTimer
 from repro.pipeline.engine import CorpusEngine
 from repro.pipeline.fingerprint import sequence_key
 from repro.pipeline.store import FeatureStore, _save_json
-from repro.serving.batching import BatchPolicy, resolve_batch_policy
 from repro.serving.bundle import ModelBundle, load_bundles
 from repro.serving.cache import ShardedResultCache
 from repro.serving.featurizer import BatchFeaturizer
@@ -82,7 +83,7 @@ class _Request:
 
 
 class PredictionService:
-    """Serve cuisine predictions from fitted models with micro-batching.
+    """Serve cuisine predictions from fitted models with natural micro-batching.
 
     Args:
         models: Optional initial ``name -> fitted model`` mapping.
@@ -93,19 +94,9 @@ class PredictionService:
             one over a shared/cache-dir-backed store) so inference reuses
             the exact per-shard artifacts training produced; by default an
             in-process engine over *store* is created.
-        max_batch_size: Flush the micro-batch queue at this many requests
-            (the hard cap; a batch policy can plan smaller, never larger).
-        flush_interval: Seconds the worker waits for a batch to fill after
-            the first request arrives — a lone request therefore pays up to
-            this much extra latency in exchange for batching under load.
-            ``0`` disables the wait: each flush takes only what is already
-            queued.  (Used by the default fixed policy; an adaptive policy
-            chooses its own windows.)
-        batch_policy: ``"fixed"`` (default), ``"adaptive"``, or a
-            :class:`~repro.serving.batching.BatchPolicy` instance — how the
-            worker sizes each flush.  See :mod:`repro.serving.batching`.
-        slo_ms: Per-request latency objective handed to the adaptive policy
-            (ignored by ``"fixed"`` and by policy instances).
+        max_batch_size: Most requests one flush takes from the queue.  The
+            worker flushes as soon as a request arrives, with whatever else
+            is already queued; it never waits for more.
         coalesce: Single-flight coalescing of identical concurrent requests
             (default on): the first request for a ``(model, sequence)`` key
             computes, concurrent duplicates wait on it and share a copy of
@@ -130,9 +121,6 @@ class PredictionService:
         store: FeatureStore | None = None,
         engine: CorpusEngine | None = None,
         max_batch_size: int = 32,
-        flush_interval: float = 0.005,
-        batch_policy: "BatchPolicy | str | None" = None,
-        slo_ms: float | None = None,
         coalesce: bool = True,
         cache_size: int = 2048,
         cache_stripes: int = 16,
@@ -141,8 +129,6 @@ class PredictionService:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if flush_interval < 0:
-            raise ValueError(f"flush_interval must be >= 0, got {flush_interval}")
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if store is None and engine is not None:
@@ -152,13 +138,6 @@ class PredictionService:
             raise ValueError("engine must be built over the service's feature store")
         self.engine = engine if engine is not None else CorpusEngine(self.store)
         self.max_batch_size = max_batch_size
-        self.flush_interval = flush_interval
-        self.batch_policy = resolve_batch_policy(
-            batch_policy,
-            max_batch_size=max_batch_size,
-            flush_interval=flush_interval,
-            slo_ms=slo_ms,
-        )
         self.coalesce = coalesce
         self.cache_size = cache_size
         self.request_timeout = request_timeout
@@ -381,36 +360,15 @@ class PredictionService:
             first = self._queue.get()
             if first is _SHUTDOWN:
                 return
-            # One policy consultation per batch: the plan says how many
-            # requests this flush may collect and how long it may wait for
-            # them.  The plan is clamped — limit to [1, max_batch_size],
-            # window to >= 0 — so a misbehaving policy degrades batching
-            # but can never crash the loop (queue.get raises ValueError on
-            # a negative timeout) or exceed the service's hard batch cap.
+            # Natural batching: flush now, with whatever queued while the
+            # previous batch ran.  The worker never sleeps waiting for a
+            # batch to fill, so a lone request pays no batching delay.
             depth = self._queue.qsize()
-            plan = self.batch_policy.plan(depth)
-            limit = int(plan.limit)
-            if not limit >= 1:
-                limit = 1
-            limit = min(limit, self.max_batch_size)
-            window = float(plan.window)
-            if not window > 0:  # also catches NaN
-                window = 0.0
             batch = [first]
-            # Flush on size or on timeout: block-accumulate until the batch
-            # is full or the window has elapsed since the first request;
-            # past the deadline, only instantaneously queued requests are
-            # still drained (so window=0 batches whatever is already
-            # waiting without ever sleeping).
-            deadline = time.monotonic() + window
             sentinel_seen = False
-            while len(batch) < limit:
-                remaining = deadline - time.monotonic()
+            while len(batch) < self.max_batch_size:
                 try:
-                    if remaining > 0:
-                        item = self._queue.get(timeout=remaining)
-                    else:
-                        item = self._queue.get_nowait()
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _SHUTDOWN:
@@ -419,9 +377,6 @@ class PredictionService:
                 batch.append(item)
             self._stages.record_value("queue_depth", depth)
             self._stages.record_value("batch_size", len(batch))
-            self.batch_policy.observe(
-                batch_size=len(batch), queue_depth=self._queue.qsize()
-            )
             self._process_batch(batch)
             if sentinel_seen:
                 return
@@ -755,8 +710,6 @@ class PredictionService:
             #: batch drained), featurize (tokens), predict (encode + model) —
             #: plus the per-flush queue_depth / batch_size distributions.
             "stages": self._stages.snapshot(),
-            #: The active batch policy's self-description (+ live signals).
-            "batching": self.batch_policy.describe(),
         }
         payload["cached_entries"] = len(self._result_cache)
         payload["cache"] = self._result_cache.stats()

@@ -47,7 +47,8 @@ _ACTIVE: contextvars.ContextVar[tuple["Trace", str | None] | None] = (
 #: Per-key counter dicts are cleared past this size so a long-lived tracer
 #: under an adversarial key stream cannot grow without bound.  The clear is
 #: deterministic (purely a function of the request history), preserving the
-#: replayability contract.
+#: replayability contract, and bumps the tracer's generation so restarted
+#: counters never mint an id a previous generation already issued.
 _MAX_TRACKED_KEYS = 65536
 
 
@@ -276,6 +277,7 @@ class Tracer:
         self.enabled = bool(enabled)
         self._salt = f"trace:{self.seed}"
         self._key_counts: dict[str, int] = {}
+        self._generation = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -288,14 +290,27 @@ class Tracer:
         return _bucket(key, self._salt) < self.sample
 
     def trace_id_for(self, key: str) -> str:
-        """Deterministic 128-bit id: BLAKE2b over seed, key, per-key count."""
+        """Deterministic 128-bit id: BLAKE2b over seed, key, per-key count.
+
+        The counter generation is the BLAKE2b salt.  Generation 0 is the
+        all-zero default salt, so ids minted before the first counter clear
+        are unchanged; later generations hash under a different salt, which
+        a key containing the separator cannot forge the way it could a
+        payload suffix.
+        """
         with self._lock:
             if len(self._key_counts) > _MAX_TRACKED_KEYS:
                 self._key_counts.clear()
+                self._generation += 1
             count = self._key_counts.get(key, 0)
             self._key_counts[key] = count + 1
+            generation = self._generation
         payload = f"{self.seed}{_KEY_SEPARATOR}{key}{_KEY_SEPARATOR}{count}"
-        return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
+        return hashlib.blake2b(
+            payload.encode("utf-8"),
+            digest_size=16,
+            salt=generation.to_bytes(16, "little"),
+        ).hexdigest()
 
     def begin(self, key: str, *, sampled: bool | None = None) -> Trace | None:
         """Start a trace for a request key, or ``None`` when disabled."""

@@ -133,6 +133,15 @@ class TestProcessGaugeMerging:
         )
         assert merged["process"]["uptime_seconds"] == 3600.0
 
+    def test_largest_batch_is_fleet_max(self):
+        merged = merge_health_snapshots(
+            [
+                {"service": {"largest_batch": 3}},
+                {"service": {"largest_batch": 7}},
+            ]
+        )
+        assert merged["service"]["largest_batch"] == 7
+
     def test_peak_rss_sums_and_versions_fold(self):
         merged = merge_health_snapshots(
             [

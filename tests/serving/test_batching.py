@@ -1,4 +1,4 @@
-"""Tests for batch policies, the policy-driven worker, and coalescing."""
+"""Tests for the naturally batching worker and single-flight coalescing."""
 
 import threading
 import time
@@ -6,16 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.data.generator import GeneratorConfig, RecipeDBGenerator
 from repro.models.registry import create_model
 from repro.serving import PredictionService
-from repro.serving.batching import (
-    AdaptiveBatchPolicy,
-    BatchPlan,
-    BatchPolicy,
-    FixedBatchPolicy,
-    resolve_batch_policy,
-)
 from repro.serving.featurizer import BatchFeaturizer
 
 MODELS = ("logreg", "naive_bayes")
@@ -34,7 +26,9 @@ def fitted_models(tiny_corpus):
 
 @pytest.fixture(scope="module")
 def sequences(tiny_corpus):
-    return [recipe.sequence for recipe in tiny_corpus.recipes[:12]]
+    """16 distinct sequences, so none of them coalesce with another."""
+    distinct = dict.fromkeys(tuple(recipe.sequence) for recipe in tiny_corpus.recipes)
+    return list(distinct)[:16]
 
 
 def _slow(model, seconds):
@@ -49,182 +43,73 @@ def _slow(model, seconds):
     return original
 
 
-class TestFixedBatchPolicy:
-    def test_constant_plan(self):
-        policy = FixedBatchPolicy(max_batch_size=8, flush_interval=0.01)
-        for depth in (0, 1, 7, 8, 500):
-            assert policy.plan(depth) == BatchPlan(limit=8, window=0.01)
-
-    def test_describe(self):
-        policy = FixedBatchPolicy(max_batch_size=8, flush_interval=0.01)
-        assert policy.describe() == {"policy": "fixed", "limit": 8, "window_ms": 10.0}
-
-    @pytest.mark.parametrize("kwargs", [{"max_batch_size": 0}, {"flush_interval": -1}])
-    def test_invalid_arguments_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            FixedBatchPolicy(**kwargs)
+def _call_in_thread(target, *args) -> threading.Thread:
+    thread = threading.Thread(target=target, args=args)
+    thread.start()
+    return thread
 
 
-class TestAdaptiveBatchPolicy:
-    def test_deep_backlog_never_waits(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0)
-        assert policy.plan(16) == BatchPlan(limit=16, window=0.0)
-        assert policy.plan(1000).window == 0.0
+class TestNaturalBatching:
+    """The worker flushes at once with whatever queued while it was busy.
 
-    def test_idle_service_flushes_immediately(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0)
-        assert policy.plan(0).window == 0.0  # fresh policy: no load observed
+    The model pass is gated, so what sits in the queue at each flush is
+    known exactly: no assertion depends on the wall clock.
+    """
 
-    def test_moderate_load_waits_a_slo_fraction(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0, window_fraction=0.2)
-        plan = policy.plan(3)
-        assert plan.limit == 16
-        assert plan.window == pytest.approx(0.005)  # 20% of 25 ms
-
-    def test_busy_history_keeps_window_on_empty_queue(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0)
-        for _ in range(10):
-            policy.observe(batch_size=8, queue_depth=4)
-        assert policy.plan(0).window > 0  # traffic is coming; gather a batch
-
-    def test_load_signal_decays_back_to_idle(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=25.0)
-        for _ in range(10):
-            policy.observe(batch_size=8, queue_depth=4)
-        for _ in range(50):
-            policy.observe(batch_size=1, queue_depth=0)
-        assert policy.plan(0).window == 0.0
-
-    def test_describe_reports_live_signal(self):
-        policy = AdaptiveBatchPolicy(max_batch_size=16, slo_ms=30.0)
-        policy.observe(batch_size=5, queue_depth=3)
-        described = policy.describe()
-        assert described["policy"] == "adaptive"
-        assert described["slo_ms"] == 30.0
-        assert described["load_ewma"] > 0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_batch_size": 0},
-            {"slo_ms": 0},
-            {"slo_ms": -5},
-            {"window_fraction": 0},
-            {"window_fraction": 1.5},
-            {"ewma_alpha": 0},
-        ],
-    )
-    def test_invalid_arguments_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            AdaptiveBatchPolicy(**{"max_batch_size": 16, "slo_ms": 25.0, **kwargs})
-
-
-class TestResolveBatchPolicy:
-    def test_none_and_fixed_build_fixed(self):
-        for spec in (None, "fixed"):
-            policy = resolve_batch_policy(spec, max_batch_size=4, flush_interval=0.02)
-            assert isinstance(policy, FixedBatchPolicy)
-            assert policy.plan(0) == BatchPlan(limit=4, window=0.02)
-
-    def test_adaptive_uses_slo(self):
-        policy = resolve_batch_policy(
-            "adaptive", max_batch_size=4, flush_interval=0.02, slo_ms=50.0
-        )
-        assert isinstance(policy, AdaptiveBatchPolicy)
-        assert policy.slo_ms == 50.0
-
-    def test_adaptive_default_slo(self):
-        policy = resolve_batch_policy("adaptive", max_batch_size=4, flush_interval=0.02)
-        assert policy.slo_ms == 25.0
-
-    def test_instance_passes_through(self):
-        instance = FixedBatchPolicy(2, 0.0)
-        assert (
-            resolve_batch_policy(instance, max_batch_size=64, flush_interval=1.0)
-            is instance
-        )
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch policy"):
-            resolve_batch_policy("greedy", max_batch_size=4, flush_interval=0.02)
-
-
-class _HostilePolicy(BatchPolicy):
-    """Returns plans that would crash an unclamped worker loop."""
-
-    def plan(self, queue_depth: int) -> BatchPlan:
-        return BatchPlan(limit=0, window=-1.0)
-
-
-class TestWorkerClampRegression:
-    def test_negative_window_and_zero_limit_still_serve(self, fitted_models, sequences):
-        """A policy window < 0 must never reach queue.get(timeout=...) — the
-        stdlib raises ValueError on negative timeouts — and a limit < 1 must
-        not wedge the loop; both clamp (window→0, limit→1) and requests are
-        answered normally."""
+    @pytest.mark.parametrize("queued, max_batch_size", [(3, 32), (12, 5)])
+    def test_next_flush_takes_everything_queued(
+        self, fitted_models, sequences, gate_pass, queued, max_batch_size
+    ):
         with PredictionService(
-            {"m": fitted_models["logreg"]}, batch_policy=_HostilePolicy()
+            {"m": fitted_models["logreg"]}, cache_size=0, max_batch_size=max_batch_size
         ) as service:
-            rows = [service.predict_proba("m", sequence) for sequence in sequences[:4]]
-            assert all(row.shape == rows[0].shape for row in rows)
+            gate = gate_pass(service, "m")
+            threads = [_call_in_thread(service.predict_proba, "m", sequences[0])]
+            gate.wait_entered()  # the worker is busy with a batch of one
+            threads += [
+                _call_in_thread(service.predict_proba, "m", sequence)
+                for sequence in sequences[1 : 1 + queued]
+            ]
+            gate.wait_queued(queued)
+            gate.release()
+            for thread in threads:
+                thread.join()
             stats = service.stats()
-            assert stats["requests"] == 4
-            assert stats["batches_flushed"] == 4  # limit clamped to 1
-            assert stats["largest_batch"] == 1
+        assert gate.rows[:2] == [1, min(queued, max_batch_size)]
+        assert sum(gate.rows) == queued + 1
+        assert stats["largest_batch"] == min(queued, max_batch_size)
 
-    def test_negative_flush_interval_still_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="flush_interval"):
-            PredictionService(flush_interval=-0.001)
-
-
-class TestPolicyDrivenService:
-    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
-    def test_policies_serve_identical_results(self, fitted_models, sequences, policy):
-        with PredictionService(
-            {"m": fitted_models["logreg"]}, batch_policy=policy, cache_size=0
-        ) as service:
-            rows = [service.predict_proba("m", sequence) for sequence in sequences]
-        reference = [
-            fitted_models["logreg"].predict_proba_sequences([sequence])[0]
-            for sequence in sequences
-        ]
-        np.testing.assert_allclose(np.vstack(rows), np.vstack(reference), atol=1e-12)
-
-    def test_stats_expose_policy_and_distributions(self, fitted_models, sequences):
-        with PredictionService(
-            {"m": fitted_models["logreg"]}, batch_policy="adaptive", slo_ms=40.0
-        ) as service:
+    def test_lone_request_flushes_as_batch_of_one(self, fitted_models, sequences):
+        with PredictionService({"m": fitted_models["logreg"]}) as service:
             service.predict_proba("m", sequences[0])
             stats = service.stats()
-        assert stats["batching"]["policy"] == "adaptive"
-        assert stats["batching"]["slo_ms"] == 40.0
-        assert stats["stages"]["queue_depth"]["count"] == 1
+        assert stats["batches_flushed"] == 1
+        assert stats["largest_batch"] == 1
+        assert stats["stages"]["queue_depth"]["max"] == 0.0
         assert stats["stages"]["batch_size"]["count"] == 1
         assert stats["stages"]["batch_size"]["max"] == 1.0
 
-    def test_adaptive_batches_under_concurrency(self, fitted_models, sequences):
-        """Concurrent distinct requests still micro-batch under adaptive."""
-        model = fitted_models["logreg"]
-        original = _slow(model, 0.01)
-        try:
-            with PredictionService(
-                {"m": model}, batch_policy="adaptive", cache_size=0
-            ) as service:
-                threads = [
-                    threading.Thread(
-                        target=service.predict_proba, args=("m", sequence)
-                    )
-                    for sequence in sequences
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                stats = service.stats()
-                assert stats["batched_requests"] == len(sequences)
-                assert stats["largest_batch"] > 1
-        finally:
-            model.predict_proba_features = original
+    def test_close_drains_every_queued_request(
+        self, fitted_models, sequences, gate_pass
+    ):
+        service = PredictionService({"m": fitted_models["logreg"]}, cache_size=0)
+        gate = gate_pass(service, "m")
+        rows: list = []
+
+        def call(sequence):
+            rows.append(service.predict_proba("m", sequence))
+
+        threads = [_call_in_thread(call, sequences[0])]
+        gate.wait_entered()
+        threads += [_call_in_thread(call, sequence) for sequence in sequences[1:]]
+        gate.wait_queued(len(sequences) - 1)
+        closer = _call_in_thread(service.close)
+        gate.release()
+        closer.join()
+        for thread in threads:
+            thread.join()
+        assert len(rows) == len(sequences)
+        assert sum(gate.rows) == len(sequences)
 
 
 class TestCoalescing:
@@ -346,19 +231,14 @@ class TestCoalescing:
 
 class TestBitwiseIdentity:
     """Acceptance: served rows are bitwise-identical to the per-sequence
-    reference (one sequence per pass through the same token featurization)
-    under both policies and with coalescing on."""
+    reference (one sequence per pass through the same token featurization),
+    sequentially and with coalescing on."""
 
     @pytest.mark.parametrize("model_name", MODELS)
-    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
-    def test_sequential_predicts_bitwise(
-        self, fitted_models, sequences, model_name, policy
-    ):
+    def test_sequential_predicts_bitwise(self, fitted_models, sequences, model_name):
         model = fitted_models[model_name]
         featurizer = BatchFeaturizer()
-        with PredictionService(
-            {"m": model}, batch_policy=policy, cache_size=0
-        ) as service:
+        with PredictionService({"m": model}, cache_size=0) as service:
             tokens = featurizer.batch_tokens(
                 [service._validated(s) for s in sequences],
                 model.feature_spec().pipeline,

@@ -247,15 +247,20 @@ class TestMicroBatching:
 
 
 class TestShutdownUnderLoad:
-    def test_close_drains_queued_requests(self, export_dir, request_sequences):
+    def test_close_drains_queued_requests(
+        self, export_dir, request_sequences, gate_pass
+    ):
         """Requests accepted into the queue before close() are processed to
         completion — shutdown drains, it does not drop."""
         from repro.serving.service import _Request
 
-        service = PredictionService.from_export_dir(
-            export_dir, cache_size=0, flush_interval=0.05
+        service = PredictionService.from_export_dir(export_dir, cache_size=0)
+        gate = gate_pass(service, "logreg")
+        first = threading.Thread(
+            target=service.predict_proba, args=("logreg", request_sequences[0])
         )
-        service._ensure_worker()
+        first.start()
+        gate.wait_entered()  # the worker is busy; what follows stays queued
         model = service._models["logreg"]
         queued = [
             _Request(
@@ -264,11 +269,15 @@ class TestShutdownUnderLoad:
                 model=model,
                 epoch=service._model_epoch("logreg"),
             )
-            for sequence in request_sequences[:12]
+            for sequence in request_sequences[1:13]
         ]
         for request in queued:
             service._queue.put(request)
-        service.close()
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        gate.release()
+        closer.join()
+        first.join()
         for request in queued:
             assert request.done.is_set()
             assert request.error is None
@@ -280,7 +289,7 @@ class TestShutdownUnderLoad:
         """Under concurrent load, every request racing a close() either gets
         a real result or the explicit closed error — never a timeout."""
         service = PredictionService.from_export_dir(
-            export_dir, cache_size=0, flush_interval=0.002, request_timeout=30.0
+            export_dir, cache_size=0, request_timeout=30.0
         )
         outcomes: list = []
         outcome_lock = threading.Lock()

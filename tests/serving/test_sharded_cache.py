@@ -197,9 +197,7 @@ class TestConcurrentHotSwap:
         sequences = [recipe.sequence for recipe in tiny_corpus.recipes[:16]]
         errors: list[BaseException] = []
 
-        with PredictionService.from_export_dir(
-            tmp_path, flush_interval=0.0
-        ) as service:
+        with PredictionService.from_export_dir(tmp_path) as service:
 
             def hammer(worker: int) -> None:
                 rng = np.random.default_rng(worker)

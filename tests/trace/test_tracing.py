@@ -3,10 +3,12 @@ context propagation, and the cross-process header."""
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import pytest
 
+from repro.trace import tracing
 from repro.trace import (
     TRACE_HEADER,
     Span,
@@ -48,6 +50,25 @@ class TestDeterministicIds:
             tracer._key_counts.setdefault(f"k{i}", 1)
         tracer.trace_id_for("fresh")  # triggers the deterministic clear
         assert len(tracer._key_counts) == 1
+
+    def test_ids_never_repeat_across_counter_clears(self, monkeypatch):
+        monkeypatch.setattr(tracing, "_MAX_TRACKED_KEYS", 4)
+        keys = [f"k{i % 6}" for i in range(60)]  # clears several times
+        first = Tracer(seed=3)
+        ids = [first.trace_id_for(key) for key in keys]
+        assert first._generation > 1
+        assert len(set(ids)) == len(ids)
+        second = Tracer(seed=3)
+        assert [second.trace_id_for(key) for key in keys] == ids  # replayable
+
+    def test_first_generation_ids_are_unsalted(self):
+        tracer = Tracer(seed=5)
+        ids = [tracer.trace_id_for("user-1") for _ in range(2)]
+        expected = [
+            hashlib.blake2b(f"5\x1fuser-1\x1f{count}".encode(), digest_size=16).hexdigest()
+            for count in range(2)
+        ]
+        assert ids == expected
 
 
 class TestSampling:

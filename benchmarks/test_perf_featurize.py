@@ -203,16 +203,16 @@ def _cache_closed_loop(n_stripes: int, seed: int) -> dict:
 @pytest.mark.quick
 def test_perf_cache_steady_state_zipf_parity():
     """Striping costs nothing when no invalidation sweep is running."""
-    # Best-of-3 per configuration: scheduler noise inflates individual runs.
-    rounds = 3
-    single = min(
-        (_cache_closed_loop(1, BENCH_SEED + round_) for round_ in range(rounds)),
-        key=lambda report: report["p99_ms"],
-    )
-    sharded = min(
-        (_cache_closed_loop(16, BENCH_SEED + round_) for round_ in range(rounds)),
-        key=lambda report: report["p99_ms"],
-    )
+    # Best-of-5 per configuration: scheduler noise inflates individual runs.
+    # The two configurations alternate round by round, so a burst of load
+    # from other processes lands on both rather than on one block of runs.
+    rounds = 5
+    singles, shardeds = [], []
+    for round_ in range(rounds):
+        singles.append(_cache_closed_loop(1, BENCH_SEED + round_))
+        shardeds.append(_cache_closed_loop(16, BENCH_SEED + round_))
+    single = min(singles, key=lambda report: report["p99_ms"])
+    sharded = min(shardeds, key=lambda report: report["p99_ms"])
     assert sharded["p99_ms"] <= 1.5 * single["p99_ms"], (
         f"16-stripe steady-state p99 {sharded['p99_ms']:.4f}ms regressed "
         f"beyond 1.5x the single-lock p99 {single['p99_ms']:.4f}ms"

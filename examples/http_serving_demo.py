@@ -121,8 +121,8 @@ def main() -> None:
         by_variant = health["routes"]["cuisine"]["by_variant"]
         print(f"    requests by variant   {by_variant} (swap dropped nothing)")
         # The prediction service splits each batch's wall clock into stage
-        # timers (also flattened into /metrics as service_stages_* lines);
-        # unit-free queue_depth / batch_size distributions sit next to them.
+        # histograms (also flattened into /metrics as service_stages_* lines);
+        # unit-free queue_depth / batch_size histograms sit next to them.
         service_stats = health["service"]
         stages = service_stats["stages"]
         print("    service stages        " + "  ".join(

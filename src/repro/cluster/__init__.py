@@ -7,7 +7,7 @@ from repro.cluster.balancer import ClusterBalancer, HashRing
 from repro.cluster.metrics import (
     merge_counter_dicts,
     merge_health_snapshots,
-    merge_latency_snapshots,
+    merge_histograms,
 )
 from repro.cluster.supervisor import (
     ClusterHandle,
@@ -25,5 +25,5 @@ __all__ = [
     "has_reuseport",
     "merge_counter_dicts",
     "merge_health_snapshots",
-    "merge_latency_snapshots",
+    "merge_histograms",
 ]

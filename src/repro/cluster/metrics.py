@@ -5,16 +5,16 @@ Every :class:`~repro.server.app.ModelServer` worker exposes the same
 :func:`merge_health_snapshots` folds N of them into one fleet view by
 structural recursion:
 
-* dicts shaped like a :class:`~repro.observability.RollingLatency` snapshot
-  merge through :func:`~repro.observability.merge_latency_snapshots`
-  (exact counts/totals/max, count-weighted quantiles); the unit-free
-  :class:`~repro.observability.RollingDistribution` shape (batch sizes,
-  queue depths) routes likewise to
-  :func:`~repro.observability.merge_distribution_snapshots`;
+* :class:`~repro.observability.Histogram` snapshots — every dict that
+  declares ``buckets`` — merge through
+  :func:`~repro.observability.merge_histograms`: bucket addition, so fleet
+  quantiles are within the histogram's relative accuracy of the pooled
+  samples' quantiles, and counts/totals/max are exact;
 * integer leaves (request/error/cache counters, capacities, in-flight
   gauges) **sum** — the fleet serves the union of the workers' traffic —
   except per-worker maxima (``uptime_seconds``, ``largest_batch``), which
-  take the fleet **max**;
+  take the fleet **max**, and the eval verdict ``code``, which takes the
+  fleet **min** (worst-of: rollback −1 < hold 0 < promote +1);
 * float leaves (``mean_batch_size``, ``agreement_rate``) **average** over
   the workers reporting a value — an unweighted approximation, exact when
   traffic spreads evenly;
@@ -33,20 +33,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.observability import (
-    DISTRIBUTION_SNAPSHOT_KEYS,
-    LATENCY_SNAPSHOT_KEYS,
-    merge_counter_dicts,
-    merge_distribution_snapshots,
-    merge_latency_snapshots,
-)
+from repro.observability import merge_counter_dicts, merge_histograms
 
-__all__ = [
-    "merge_health_snapshots",
-    "merge_counter_dicts",
-    "merge_distribution_snapshots",
-    "merge_latency_snapshots",
-]
+__all__ = ["merge_health_snapshots", "merge_counter_dicts", "merge_histograms"]
 
 #: Keys that identify a single worker and are meaningless fleet-wide.
 _PER_WORKER_KEYS = frozenset({"worker_id"})
@@ -56,27 +45,9 @@ _PER_WORKER_KEYS = frozenset({"worker_id"})
 #: and the fleet's largest batch is the largest any worker flushed.
 _PID_KEYS = frozenset({"pid"})
 _MAX_KEYS = frozenset({"uptime_seconds", "largest_batch"})
-
-
-def _is_latency_snapshot(value: object) -> bool:
-    return (
-        isinstance(value, Mapping)
-        and "count" in value
-        and set(value.keys()) <= LATENCY_SNAPSHOT_KEYS
-    )
-
-
-def _is_distribution_snapshot(value: object) -> bool:
-    # "mean" (unit-free, vs "mean_ms") separates the two snapshot shapes;
-    # without the explicit route a distribution would fall through to the
-    # generic merge, which *sums* integer leaves — fleet-wide "max batch
-    # size" must be the max, not the sum.
-    return (
-        isinstance(value, Mapping)
-        and "count" in value
-        and "mean" in value
-        and set(value.keys()) <= DISTRIBUTION_SNAPSHOT_KEYS
-    )
+#: Worst-of keys: one worker's rollback verdict (-1) must not be averaged or
+#: summed away by another worker's promote (+1).
+_MIN_KEYS = frozenset({"code"})
 
 
 def merge_health_snapshots(snapshots: Sequence[Mapping]) -> dict:
@@ -114,28 +85,26 @@ def _merge_values(key: str, values: list):
         # The fleet has N pids, not one: publish the sorted list (a single
         # worker keeps its scalar so one-node views stay unchanged).
         return present[0] if len(present) == 1 else sorted(present)
-    if key in _MAX_KEYS and all(
+    numeric = all(
         isinstance(value, (int, float)) and not isinstance(value, bool)
         for value in present
-    ):
+    )
+    if key in _MAX_KEYS and numeric:
         # Fleet uptime is the oldest worker's — averaging would dip on every
         # rolling restart even though the fleet never went down.  Likewise a
         # fleet's largest batch is one worker's, never a sum of maxima.
         return max(present)
-    if all(_is_latency_snapshot(value) for value in present):
-        return merge_latency_snapshots(present)
-    if all(_is_distribution_snapshot(value) for value in present):
-        return merge_distribution_snapshots(present)
+    if key in _MIN_KEYS and numeric:
+        return min(present)
+    if all(isinstance(value, Mapping) and "buckets" in value for value in present):
+        return merge_histograms(present)
     if all(isinstance(value, Mapping) for value in present):
         return _merge_nodes(present)
     if all(isinstance(value, bool) for value in present):
         return all(present) if key == "healthy" else any(present)
     if all(isinstance(value, int) and not isinstance(value, bool) for value in present):
         return sum(present)
-    if all(
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        for value in present
-    ):
+    if numeric:
         return sum(present) / len(present)
     if key == "status":
         return (

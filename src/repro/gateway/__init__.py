@@ -10,9 +10,6 @@ The gateway is the subsystem between "a bundle on disk" and live traffic:
   BLAKE2b buckets so routing is identical across processes and runs;
 * :mod:`repro.gateway.ensemble` — label-space alignment and bitwise-
   reproducible probability combination (mean / weighted / majority);
-* :mod:`repro.gateway.observability` — facade over the shared
-  :mod:`repro.observability` counter / rolling-latency primitives used by
-  routes and by the prediction service itself;
 * :mod:`repro.gateway.gateway` — :class:`ModelGateway`, the front door tying
   the above into ``predict`` / ``predict_proba`` / batch calls plus
   ``health_snapshot()``.
@@ -20,7 +17,6 @@ The gateway is the subsystem between "a bundle on disk" and live traffic:
 
 from repro.gateway.ensemble import align_to_label_space, combine_probabilities
 from repro.gateway.gateway import ModelGateway
-from repro.gateway.observability import CounterSet, RollingLatency, RouteMetrics
 from repro.gateway.policies import (
     ABSplit,
     ActiveVersion,
@@ -39,6 +35,7 @@ from repro.gateway.registry import (
     RouteSnapshot,
     service_model_name,
 )
+from repro.observability import CounterSet, RouteMetrics
 
 __all__ = [
     "ABSplit",
@@ -49,7 +46,6 @@ __all__ = [
     "DeploymentRegistry",
     "Ensemble",
     "ModelGateway",
-    "RollingLatency",
     "RouteMetrics",
     "RouteSnapshot",
     "RouteView",

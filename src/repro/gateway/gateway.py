@@ -19,9 +19,8 @@ path clients actually call:
 5. ensemble routes fan the request across members and combine their
    label-space-aligned outputs (:mod:`repro.gateway.ensemble`);
 6. every route records requests / errors / per-variant counts / shadow
-   agreement and rolling latency quantiles through
-   :mod:`repro.gateway.observability`, aggregated by
-   :meth:`ModelGateway.health_snapshot`.
+   agreement and a latency histogram through :mod:`repro.observability`,
+   aggregated by :meth:`ModelGateway.health_snapshot`.
 
 Responses are always probability vectors over the **route's** label space
 (identical label spaces pass through bit-for-bit).
@@ -468,7 +467,7 @@ class ModelGateway:
 
         ``status`` is ``"ok"`` with no recorded errors, ``"degraded"``
         otherwise; each route reports its deployment topology, policy,
-        counters, shadow agreement and rolling latency quantiles.
+        counters, shadow agreement and latency histogram.
         """
         described = self.registry.describe()
         routes = {}

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.gateway.observability import RouteMetrics
 from repro.gateway.policies import ActiveVersion, RouteView, TrafficPolicy
 from repro.models.base import CuisineModel
+from repro.observability import RouteMetrics
 from repro.serving.bundle import ModelBundle, discover_bundles
 from repro.serving.service import PredictionService
 
@@ -448,13 +448,13 @@ class DeploymentRegistry:
                 if state.verdict is not None:
                     # Compact summary only: the full verdict (reasons, layer
                     # details, statistics) stays behind GET .../evaluate.
-                    # ``code`` is a float so the cluster fleet merge averages
-                    # worker-reported verdicts instead of summing them.
+                    # ``code`` (-1 rollback / 0 hold / +1 promote) merges
+                    # worst-of across a fleet (repro.cluster.metrics).
                     entry["eval"] = {
                         "candidate": state.verdict.get("candidate", ""),
                         "baseline": state.verdict.get("baseline", ""),
                         "decision": state.verdict.get("decision", ""),
-                        "code": float(state.verdict.get("code", 0.0)),
+                        "code": int(state.verdict.get("code", 0)),
                     }
                 described[name] = entry
             return described

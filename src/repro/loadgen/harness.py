@@ -269,8 +269,12 @@ def _build_report(
     )
 
 
-async def _timed_predict(target, request) -> tuple[str, float, str | None]:
-    start = time.perf_counter()
+async def _timed_predict(
+    target, request, due: float | None = None
+) -> tuple[str, float, str | None]:
+    """One request's outcome and latency, timed from *due* when given (the
+    ``perf_counter`` instant an open-loop schedule meant to send it)."""
+    start = time.perf_counter() if due is None else due
     trace_id: str | None = None
     try:
         result = await target.predict(request.sequence, request.key)
@@ -286,17 +290,19 @@ async def _timed_predict(target, request) -> tuple[str, float, str | None]:
 
 
 async def _open_loop(target, workload: Workload) -> LoadReport:
-    loop = asyncio.get_running_loop()
-    start = loop.time()
+    # Each request is timed from when it was due, not from when its task
+    # ran: a stall that delays later sends shows up in their latency.
+    start = time.perf_counter()
     tasks: list[asyncio.Task] = []
     try:
         for request in workload.requests:
-            delay = (start + request.arrival) - loop.time()
+            due = start + request.arrival
+            delay = due - time.perf_counter()
             if delay > 0:
                 await asyncio.sleep(delay)
-            tasks.append(asyncio.ensure_future(_timed_predict(target, request)))
+            tasks.append(asyncio.ensure_future(_timed_predict(target, request, due)))
         outcomes = list(await asyncio.gather(*tasks))
-        duration = loop.time() - start
+        duration = time.perf_counter() - start
     finally:
         await target.aclose()
     return _build_report(workload, outcomes, duration, mode="open", concurrency=None)

@@ -1,43 +1,55 @@
 """Shared observability primitives for the serving/gateway stack.
 
-Every traffic-carrying component — the deployment gateway's routes and the
-:class:`~repro.serving.service.PredictionService` underneath them — records
-its counters and latencies through the same two primitives:
+Every traffic-carrying component — the deployment gateway's routes, the
+:class:`~repro.serving.service.PredictionService` underneath them and the
+HTTP server in front — records its counters and distributions through the
+same two primitives:
 
 * :class:`CounterSet` — a thread-safe bag of named monotonic counters;
-* :class:`RollingLatency` — total/mean/max latency accounting plus rolling
-  p50/p95/p99 quantiles over a fixed-size ring buffer of recent samples.
+* :class:`Histogram` — lifetime count/total/max plus p50/p95/p99 over fixed
+  relative-error log buckets, so per-worker snapshots merge exactly
+  (:func:`merge_histograms`).
 
 :class:`RouteMetrics` composes the two into the per-route unit the gateway
 aggregates into its ``health_snapshot()``.
 
-This module lives *below* every traffic layer (it imports only NumPy), so
-both `repro.serving` and `repro.gateway` depend on it downward;
-:mod:`repro.gateway.observability` re-exports it as the gateway-facing
-facade.  :func:`render_metrics_text` turns any nested snapshot dict into the
-flat text exposition format served by ``repro.server``'s ``/metrics``.
+This module lives *below* every traffic layer (stdlib only), so
+`repro.serving`, `repro.gateway` and `repro.server` all depend on it
+downward.  :func:`render_metrics_text` turns any nested snapshot dict into
+the flat text exposition format served by ``repro.server``'s ``/metrics``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import platform
 import re
+import sys
 import threading
 import time
 from collections import Counter
 from typing import Mapping
-
-import numpy as np
 
 try:  # pragma: no cover - absent only on non-POSIX platforms
     import resource
 except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
-#: Quantiles reported by every latency snapshot.
+#: Quantiles reported by every histogram snapshot.
 LATENCY_QUANTILES: tuple[float, ...] = (0.50, 0.95, 0.99)
+
+#: Relative accuracy of every :class:`Histogram` quantile.  Bucket ``i``
+#: holds the values in ``(GAMMA**(i-1), GAMMA**i]`` and reports the one
+#: value within ``HISTOGRAM_ALPHA`` of all of them (DDSketch, Masson et al.,
+#: VLDB 2019, arXiv:1908.10693).
+HISTOGRAM_ALPHA = 0.01
+_GAMMA = (1.0 + HISTOGRAM_ALPHA) / (1.0 - HISTOGRAM_ALPHA)
+_LOG_GAMMA = math.log(_GAMMA)
+#: Bucket indices beyond this (values outside ~1e-260 .. 1e260) are treated
+#: as malformed when merging snapshots from other processes.
+_MAX_BUCKET_INDEX = 30_000
 
 
 class CounterSet:
@@ -66,116 +78,48 @@ class CounterSet:
             items = sorted(self._counts.items())
         return {name: int(count) for name, count in items if count}
 
-    def snapshot(self) -> dict[str, int]:
-        """Alias of :meth:`as_dict` (the historical name)."""
-        return self.as_dict()
+
+def _bucket_index(value: float) -> int | None:
+    """The log bucket holding *value*; ``None`` is the bucket for zero."""
+    if value <= 0.0:
+        return None
+    return math.ceil(math.log(value) / _LOG_GAMMA)
 
 
-class RollingLatency:
-    """Latency accounting with rolling quantiles over a ring buffer.
+def _bucket_value(index: int | None) -> float:
+    """The value bucket *index* reports (0.0 for the zero bucket)."""
+    if index is None:
+        return 0.0
+    return 2.0 * _GAMMA**index / (_GAMMA + 1.0)
 
-    Total/count/max cover the whole lifetime; the p50/p95/p99 quantiles are
-    computed over the most recent ``window`` recorded samples, so they track
-    current behaviour instead of being dominated by history.
 
-    ``record(seconds, count=n)`` attributes one observed wall-clock duration
-    to *n* logical requests (a batch): the duration enters the ring buffer
-    once, while ``count`` advances by *n* — mirroring how the prediction
-    service has always counted batched latency.
+class Histogram:
+    """Lifetime value distribution over fixed relative-error log buckets.
+
+    ``record(value, count=n)`` attributes one observed value to *n* logical
+    requests (a batch): the value enters the buckets once, while ``count``
+    advances by *n* — the way the prediction service has always counted
+    batched latency.  Quantiles are lifetime (cumulative, as in Prometheus
+    histograms) and each lies within :data:`HISTOGRAM_ALPHA` of the exact
+    sample quantile; ``count``, ``total`` and ``max`` are exact.
+
+    The snapshot keeps the sparse buckets, so snapshots from many processes
+    merge by bucket addition (:func:`merge_histograms`) with the same error
+    bound as one process.
     """
 
-    def __init__(self, window: int = 2048) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._ring = np.zeros(window, dtype=np.float64)
-        self._filled = 0
-        self._next = 0
+        self._buckets: Counter = Counter()
         self._count = 0
         self._total = 0.0
         self._max = 0.0
 
-    def record(self, seconds: float, count: int = 1) -> None:
+    def record(self, value: float, count: int = 1) -> None:
+        index = _bucket_index(value)
         with self._lock:
-            self._ring[self._next] = seconds
-            self._next = (self._next + 1) % self.window
-            self._filled = min(self._filled + 1, self.window)
+            self._buckets[index] += 1
             self._count += count
-            self._total += seconds
-            self._max = max(self._max, seconds)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    def quantile(self, q: float) -> float:
-        """Rolling quantile (seconds) over the ring buffer; 0.0 when empty."""
-        with self._lock:
-            if self._filled == 0:
-                return 0.0
-            samples = self._ring[: self._filled].copy()
-        return float(np.quantile(samples, q))
-
-    def snapshot(self) -> dict:
-        """Lifetime totals plus rolling quantiles, in milliseconds.
-
-        The payload is JSON-safe (plain ``int``/``float`` values, no NumPy
-        scalars) with a stable key order: ``count``, ``total_seconds``,
-        ``mean_ms``, ``max_ms``, ``window``, then ``p50_ms``/``p95_ms``/
-        ``p99_ms`` in :data:`LATENCY_QUANTILES` order.
-        """
-        with self._lock:
-            filled = self._filled
-            samples = self._ring[:filled].copy() if filled else None
-            count = self._count
-            total = self._total
-            maximum = self._max
-        payload = {
-            "count": int(count),
-            "total_seconds": float(total),
-            "mean_ms": (1000.0 * total / count) if count else 0.0,
-            "max_ms": 1000.0 * maximum,
-            "window": int(self.window),
-        }
-        for q in LATENCY_QUANTILES:
-            key = f"p{int(q * 100)}_ms"
-            payload[key] = (
-                1000.0 * float(np.quantile(samples, q)) if samples is not None else 0.0
-            )
-        return payload
-
-
-class RollingDistribution:
-    """Unit-free value distribution with rolling quantiles.
-
-    The dimensionless sibling of :class:`RollingLatency` for gauges sampled
-    per event — batch sizes, queue depths.  Lifetime ``count``/``total``/
-    ``max`` plus p50/p95/p99 over the most recent ``window`` samples.  The
-    snapshot's key set (``mean``/``max``/``p50``… — no ``_ms`` suffixes, no
-    ``total_seconds``) is disjoint from a latency snapshot's, so the fleet
-    merge can route the two shapes to the right aggregator.
-    """
-
-    def __init__(self, window: int = 2048) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
-        self._lock = threading.Lock()
-        self._ring = np.zeros(window, dtype=np.float64)
-        self._filled = 0
-        self._next = 0
-        self._count = 0
-        self._total = 0.0
-        self._max = 0.0
-
-    def record(self, value: float) -> None:
-        with self._lock:
-            self._ring[self._next] = value
-            self._next = (self._next + 1) % self.window
-            self._filled = min(self._filled + 1, self.window)
-            self._count += 1
             self._total += value
             self._max = max(self._max, value)
 
@@ -184,104 +128,49 @@ class RollingDistribution:
         with self._lock:
             return self._count
 
-    def quantile(self, q: float) -> float:
-        """Rolling quantile over the ring buffer; 0.0 when empty."""
-        with self._lock:
-            if self._filled == 0:
-                return 0.0
-            samples = self._ring[: self._filled].copy()
-        return float(np.quantile(samples, q))
+    def snapshot(self, *, seconds: bool = True) -> dict:
+        """Totals, quantiles and buckets as a JSON-safe dict.
 
-    def snapshot(self) -> dict:
-        """Lifetime totals plus rolling quantiles (JSON-safe, stable keys)."""
-        with self._lock:
-            filled = self._filled
-            samples = self._ring[:filled].copy() if filled else None
-            count = self._count
-            total = self._total
-            maximum = self._max
-        payload = {
-            "count": int(count),
-            "total": float(total),
-            "mean": (total / count) if count else 0.0,
-            "max": float(maximum),
-            "window": int(self.window),
-        }
-        for q in LATENCY_QUANTILES:
-            key = f"p{int(q * 100)}"
-            payload[key] = (
-                float(np.quantile(samples, q)) if samples is not None else 0.0
-            )
-        return payload
-
-
-class StageTimer:
-    """Named per-stage latency timers over shared :class:`RollingLatency`.
-
-    The prediction service splits each batch's wall clock into pipeline
-    stages (``queue_wait`` → ``featurize`` → ``predict``); a gateway route
-    could split similarly.  Each stage is its own :class:`RollingLatency`, so
-    every stage gets the full lifetime/rolling-quantile treatment, and
-    :meth:`snapshot` nests them under their stage names — which
-    :func:`render_metrics_text` flattens into ``..._stages_featurize_ms_*``
-    style metric lines automatically.
-
-    Alongside the timers, :meth:`record_value` tracks dimensionless
-    per-batch gauges (``batch_size``, ``queue_depth``) as
-    :class:`RollingDistribution` stages of the same snapshot — one nested
-    dict per stage either way, distinguishable by key shape.
-
-    Stages are created lazily on first :meth:`record`; timers for stages that
-    never ran are absent from the snapshot (mirroring ``CounterSet``'s
-    zeros-omitted convention).
-    """
-
-    def __init__(self, window: int = 2048) -> None:
-        self.window = window
-        self._lock = threading.Lock()
-        self._stages: dict[str, RollingLatency] = {}
-        self._values: dict[str, RollingDistribution] = {}
-
-    def _stage(self, name: str) -> RollingLatency:
-        with self._lock:
-            stage = self._stages.get(name)
-            if stage is None:
-                stage = RollingLatency(window=self.window)
-                self._stages[name] = stage
-            return stage
-
-    def _value_stage(self, name: str) -> RollingDistribution:
-        with self._lock:
-            stage = self._values.get(name)
-            if stage is None:
-                stage = RollingDistribution(window=self.window)
-                self._values[name] = stage
-            return stage
-
-    def record(self, name: str, seconds: float, count: int = 1) -> None:
-        """Attribute one observed *seconds* duration of stage *name* to
-        *count* logical requests (same semantics as ``RollingLatency.record``)."""
-        self._stage(name).record(seconds, count=count)
-
-    def record_value(self, name: str, value: float) -> None:
-        """Record one sample of the dimensionless distribution *name*."""
-        self._value_stage(name).record(value)
-
-    def quantile(self, name: str, q: float) -> float:
-        """Rolling quantile of one stage; 0.0 for a stage never recorded."""
-        with self._lock:
-            stage = self._stages.get(name) or self._values.get(name)
-        return stage.quantile(q) if stage is not None else 0.0
-
-    def snapshot(self) -> dict:
-        """``{stage: snapshot}`` for every recorded stage, sorted.
-
-        Latency stages and value distributions share the namespace (a name
-        is only ever one kind); each nests its own snapshot dict.
+        With ``seconds`` (values recorded in seconds) the keys are
+        ``count``, ``total_seconds``, ``mean_ms``, ``max_ms``, ``p50_ms``,
+        ``p95_ms``, ``p99_ms``, ``buckets``; unit-free histograms (batch
+        sizes, queue depths) drop the ``_ms`` suffixes and report
+        ``total``.  ``buckets`` lists ``[index, observations]`` pairs in
+        value order, the zero bucket's index being ``None``.
         """
         with self._lock:
-            stages = sorted({**self._stages, **self._values}.items())
-        return {name: stage.snapshot() for name, stage in stages}
+            buckets = dict(self._buckets)
+            count, total, maximum = self._count, self._total, self._max
+        peak = 1000.0 * maximum if seconds else float(maximum)
+        return _histogram_payload(count, total, peak, buckets, seconds=seconds)
+
+
+def _histogram_payload(
+    count: int, total: float, peak: float, buckets: Mapping, *, seconds: bool
+) -> dict:
+    """One histogram snapshot; *peak* is already in the payload's unit."""
+    scale, suffix = (1000.0, "_ms") if seconds else (1.0, "")
+    ranked = sorted(buckets.items(), key=lambda item: _bucket_value(item[0]))
+    observations = sum(buckets.values())
+    payload = {
+        "count": int(count),
+        "total_seconds" if seconds else "total": float(total),
+        f"mean{suffix}": (scale * total / count) if count else 0.0,
+        f"max{suffix}": float(peak),
+    }
+    for q in LATENCY_QUANTILES:
+        value = 0.0
+        if observations:
+            rank, seen = q * (observations - 1), 0
+            for index, n in ranked:
+                seen += n
+                if seen > rank:
+                    break
+            # The top bucket can overshoot the exact maximum by up to alpha.
+            value = min(peak, scale * _bucket_value(index))
+        payload[f"p{int(q * 100)}{suffix}"] = value
+    payload["buckets"] = [[index, int(n)] for index, n in ranked]
+    return payload
 
 
 class RouteMetrics:
@@ -305,9 +194,9 @@ class RouteMetrics:
       regressions an aggregate rate would hide.
     """
 
-    def __init__(self, latency_window: int = 2048) -> None:
+    def __init__(self) -> None:
         self.counters = CounterSet()
-        self.latency = RollingLatency(window=latency_window)
+        self.latency = Histogram()
 
     def record_request(self, version: str, seconds: float, count: int = 1) -> None:
         self.counters.increment("requests", count)
@@ -446,23 +335,6 @@ class RouteMetrics:
 # ----------------------------------------------------------------------
 # fleet-wide merging
 # ----------------------------------------------------------------------
-#: Keys identifying a dict as a RollingLatency snapshot (see
-#: :meth:`RollingLatency.snapshot`); the cluster tier's recursive health
-#: merge uses this to route latency dicts to :func:`merge_latency_snapshots`.
-LATENCY_SNAPSHOT_KEYS: frozenset[str] = frozenset(
-    {"count", "total_seconds", "mean_ms", "max_ms", "window"}
-    | {f"p{int(q * 100)}_ms" for q in LATENCY_QUANTILES}
-)
-
-#: Keys identifying a dict as a :meth:`RollingDistribution.snapshot` — the
-#: unit-free shape (``mean``/``max``/``p50``…, no ``_ms``), routed by the
-#: fleet merge to :func:`merge_distribution_snapshots`.
-DISTRIBUTION_SNAPSHOT_KEYS: frozenset[str] = frozenset(
-    {"count", "total", "mean", "max", "window"}
-    | {f"p{int(q * 100)}" for q in LATENCY_QUANTILES}
-)
-
-
 def _as_int(value, default: int = 0) -> int:
     """Coerce a snapshot field to int, tolerating malformed values.
 
@@ -500,62 +372,45 @@ def merge_counter_dicts(dicts: "list[Mapping[str, int]] | tuple[Mapping[str, int
     return {name: count for name, count in sorted(merged.items()) if count}
 
 
-def merge_latency_snapshots(snapshots: "list[Mapping] | tuple[Mapping, ...]") -> dict:
-    """Merge per-worker :meth:`RollingLatency.snapshot` payloads into one.
+def _bucket_entry(entry) -> tuple[int | None, int] | None:
+    """``(index, observations)`` of a well-formed snapshot bucket, else None."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        return None
+    index, observations = entry
+    if index is not None and (type(index) is not int or abs(index) > _MAX_BUCKET_INDEX):
+        return None
+    if type(observations) is not int or observations < 1:
+        return None
+    return index, observations
 
-    ``count`` and ``total_seconds`` sum exactly, ``max_ms`` is the fleet
-    maximum and ``mean_ms`` is recomputed from the exact totals.  The rolling
-    quantiles cannot be merged exactly from pre-aggregated summaries (the
-    underlying ring samples stay in each worker), so each ``pXX_ms`` is the
-    count-weighted average of the workers' quantiles — the standard
-    approximation for pre-aggregated percentiles.  It is exact when every
-    worker sees the same distribution (the kernel's ``SO_REUSEPORT`` hashing
-    approximates this) and always lies within the min/max of the member
-    quantiles.  Workers that recorded nothing contribute no weight.
+
+def merge_histograms(snapshots: "list[Mapping] | tuple[Mapping, ...]") -> dict:
+    """Merge per-worker :meth:`Histogram.snapshot` payloads into one.
+
+    Bucket counts add, so every merged quantile is within
+    :data:`HISTOGRAM_ALPHA` of the quantile of the pooled samples — one slow
+    worker moves the fleet p99 as it would move a single process's.
+    ``count`` and the total sum exactly and the max is the fleet maximum.
+    Snapshots carrying ``total_seconds`` make a latency merge (``_ms``
+    keys), otherwise the merge is unit-free.  Malformed fields and bucket
+    entries contribute nothing rather than failing the merge.
     """
-    counts = [_as_int(s.get("count", 0)) for s in snapshots]
-    total_count = sum(counts)
-    total_seconds = float(sum(_as_float(s.get("total_seconds", 0.0)) for s in snapshots))
-    merged = {
-        "count": total_count,
-        "total_seconds": total_seconds,
-        "mean_ms": (1000.0 * total_seconds / total_count) if total_count else 0.0,
-        "max_ms": max((_as_float(s.get("max_ms", 0.0)) for s in snapshots), default=0.0),
-        "window": max((_as_int(s.get("window", 0)) for s in snapshots), default=0),
-    }
-    for q in LATENCY_QUANTILES:
-        key = f"p{int(q * 100)}_ms"
-        weighted = sum(
-            count * _as_float(s.get(key, 0.0)) for count, s in zip(counts, snapshots)
-        )
-        merged[key] = (weighted / total_count) if total_count else 0.0
-    return merged
-
-
-def merge_distribution_snapshots(snapshots: "list[Mapping] | tuple[Mapping, ...]") -> dict:
-    """Merge per-worker :meth:`RollingDistribution.snapshot` payloads.
-
-    Same scheme as :func:`merge_latency_snapshots`, minus the unit: exact
-    ``count``/``total`` sums, fleet ``max``, recomputed ``mean``, and
-    count-weighted quantile approximation for ``p50``/``p95``/``p99``.
-    """
-    counts = [_as_int(s.get("count", 0)) for s in snapshots]
-    total_count = sum(counts)
-    total = float(sum(_as_float(s.get("total", 0.0)) for s in snapshots))
-    merged = {
-        "count": total_count,
-        "total": total,
-        "mean": (total / total_count) if total_count else 0.0,
-        "max": max((_as_float(s.get("max", 0.0)) for s in snapshots), default=0.0),
-        "window": max((_as_int(s.get("window", 0)) for s in snapshots), default=0),
-    }
-    for q in LATENCY_QUANTILES:
-        key = f"p{int(q * 100)}"
-        weighted = sum(
-            count * _as_float(s.get(key, 0.0)) for count, s in zip(counts, snapshots)
-        )
-        merged[key] = (weighted / total_count) if total_count else 0.0
-    return merged
+    seconds = any("total_seconds" in snapshot for snapshot in snapshots)
+    total_key, suffix = ("total_seconds", "_ms") if seconds else ("total", "")
+    buckets: Counter = Counter()
+    for snapshot in snapshots:
+        entries = snapshot.get("buckets")
+        for entry in entries if isinstance(entries, list) else ():
+            parsed = _bucket_entry(entry)
+            if parsed is not None:
+                buckets[parsed[0]] += parsed[1]
+    return _histogram_payload(
+        sum(_as_int(snapshot.get("count", 0)) for snapshot in snapshots),
+        sum(_as_float(snapshot.get(total_key, 0.0)) for snapshot in snapshots),
+        max((_as_float(snapshot.get(f"max{suffix}", 0.0)) for snapshot in snapshots), default=0.0),
+        buckets,
+        seconds=seconds,
+    )
 
 
 _METRIC_NAME_SANITIZER = re.compile(r"[^0-9A-Za-z_]")
@@ -571,15 +426,14 @@ def process_stats() -> dict:
 
     ``uptime_seconds`` counts from module import (monotonic clock),
     ``peak_rss_bytes`` is the high-water resident set (``ru_maxrss``,
-    normalized from KiB on Linux vs bytes on macOS), plus ``pid`` and the
+    which macOS reports in bytes and Linux in KiB), plus ``pid`` and the
     interpreter version.  The fleet merge treats ``pid`` as a list and
     ``uptime_seconds`` as the max — see ``repro.cluster.metrics``.
     """
     peak_rss_bytes = 0
     if resource is not None:
-        ru_maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # Linux reports KiB, macOS reports bytes.
-        peak_rss_bytes = int(ru_maxrss) if ru_maxrss > 1 << 32 else int(ru_maxrss) * 1024
+        ru_maxrss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        peak_rss_bytes = ru_maxrss if sys.platform == "darwin" else ru_maxrss * 1024
     return {
         "pid": os.getpid(),
         "uptime_seconds": time.monotonic() - _PROCESS_START_MONOTONIC,

@@ -59,7 +59,7 @@ from repro.gateway.policies import (
     TrafficPolicy,
     derive_request_key,
 )
-from repro.observability import CounterSet, RollingLatency, render_metrics_text
+from repro.observability import CounterSet, Histogram, render_metrics_text
 from repro.server.protocol import (
     HTTPError,
     HTTPRequest,
@@ -265,7 +265,7 @@ class ModelServer:
         self.counters = CounterSet()
         #: Wall-clock latency of handled prediction requests (parse → response
         #: built), the server-side counterpart of a load generator's view.
-        self.latency = RollingLatency()
+        self.latency = Histogram()
 
         self._inflight = 0
         self._draining = False

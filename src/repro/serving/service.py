@@ -44,16 +44,20 @@ import numpy as np
 
 from repro.data.recipedb import RecipeDB
 from repro.models.base import CuisineModel
-from repro.observability import CounterSet, RollingLatency, StageTimer
+from repro.observability import CounterSet, Histogram
 from repro.pipeline.engine import CorpusEngine
 from repro.pipeline.fingerprint import sequence_key
 from repro.pipeline.store import FeatureStore, _save_json
 from repro.serving.bundle import ModelBundle, load_bundles
 from repro.serving.cache import ShardedResultCache
 from repro.serving.featurizer import BatchFeaturizer
-from repro.trace import Trace, current_span_id, current_trace
+from repro.trace import current_span_id, current_trace
 
 _SHUTDOWN = object()
+
+#: Stage histograms recorded in seconds; the rest (``queue_depth``,
+#: ``batch_size``) are unit-free counts.
+_TIMED_STAGES = ("queue_wait", "featurize", "predict")
 
 
 @dataclass
@@ -70,15 +74,17 @@ class _Request:
     sequence: tuple[str, ...]
     model: CuisineModel
     epoch: int
-    submitted_at: float = 0.0
     done: threading.Event = field(default_factory=threading.Event)
     result: np.ndarray | None = None
     error: BaseException | None = None
-    # Stage breadcrumbs stamped by the batch thread and read back by the
-    # waiting caller, which turns them into trace spans on its own trace.
-    queue_wait_s: float = 0.0
-    featurize_s: float = 0.0
-    predict_s: float = 0.0
+    # ``time.perf_counter()`` stamps: the caller sets ``submitted``, the
+    # batch thread the rest.  The stage histograms and the caller's trace
+    # spans are both derived from these, so the two views agree.
+    submitted: float = 0.0
+    drained: float = 0.0
+    started: float = 0.0
+    featurized: float = 0.0
+    predicted: float = 0.0
     batch_size: int = 0
 
 
@@ -160,8 +166,11 @@ class PredictionService:
 
         # Shared observability primitives (same as the gateway's routes).
         self._counters = CounterSet()
-        self._latency = RollingLatency()
-        self._stages = StageTimer()
+        self._latency = Histogram()
+        self._stages = {
+            name: Histogram()
+            for name in sorted((*_TIMED_STAGES, "queue_depth", "batch_size"))
+        }
         self._stats_lock = threading.Lock()
         self._largest_batch = 0
 
@@ -254,10 +263,10 @@ class PredictionService:
 
     def _predict_group(
         self, model: CuisineModel, sequences: Sequence[tuple[str, ...]]
-    ) -> tuple[np.ndarray, float, float]:
-        """Run one grouped model pass; returns ``(probabilities,
-        featurize_seconds, predict_seconds)`` so callers can attribute the
-        stage costs to the requests (and traces) that shared the pass."""
+    ) -> tuple[np.ndarray, tuple[float, float, float]]:
+        """Run one grouped model pass; returns the probabilities and the
+        ``(started, featurized, predicted)`` stamps of the pass, which every
+        request (and trace) that shared it is attributed."""
         started = time.perf_counter()
         tokens = self._featurize(model, sequences)
         featurized = time.perf_counter()
@@ -268,10 +277,10 @@ class PredictionService:
             probabilities = model.predict_proba_features(encoder.encode(tokens))
         else:
             probabilities = model.predict_proba_tokens(tokens)
-        finished = time.perf_counter()
-        self._stages.record("featurize", featurized - started, count=len(sequences))
-        self._stages.record("predict", finished - featurized, count=len(sequences))
-        return probabilities, featurized - started, finished - featurized
+        predicted = time.perf_counter()
+        self._stages["featurize"].record(featurized - started, count=len(sequences))
+        self._stages["predict"].record(predicted - featurized, count=len(sequences))
+        return probabilities, (started, featurized, predicted)
 
     def warm(
         self,
@@ -375,8 +384,8 @@ class PredictionService:
                     sentinel_seen = True
                     break
                 batch.append(item)
-            self._stages.record_value("queue_depth", depth)
-            self._stages.record_value("batch_size", len(batch))
+            self._stages["queue_depth"].record(depth)
+            self._stages["batch_size"].record(len(batch))
             self._process_batch(batch)
             if sentinel_seen:
                 return
@@ -386,13 +395,11 @@ class PredictionService:
         # queued across a hot-swap of the same name predict against the
         # model each of them started on.
         groups: dict[tuple[str, int], list[_Request]] = {}
-        drained_at = time.perf_counter()
+        drained = time.perf_counter()
         for request in batch:
-            if request.submitted_at:
-                wait = drained_at - request.submitted_at
-                self._stages.record("queue_wait", wait)
-                request.queue_wait_s = wait
+            request.drained = drained
             request.batch_size = len(batch)
+            self._stages["queue_wait"].record(drained - request.submitted)
             groups.setdefault((request.model_name, id(request.model)), []).append(request)
         self._counters.increment("batches_flushed")
         self._counters.increment("batched_requests", len(batch))
@@ -400,7 +407,7 @@ class PredictionService:
             self._largest_batch = max(self._largest_batch, len(batch))
         for (model_name, _), requests in groups.items():
             try:
-                probabilities, featurize_s, predict_s = self._predict_group(
+                probabilities, stamps = self._predict_group(
                     requests[0].model, [request.sequence for request in requests]
                 )
             except BaseException as exc:  # surfaced to every waiting caller
@@ -409,8 +416,7 @@ class PredictionService:
                     request.done.set()
                 continue
             for request, row in zip(requests, probabilities):
-                request.featurize_s = featurize_s
-                request.predict_s = predict_s
+                request.started, request.featurized, request.predicted = stamps
                 self._cache_put(model_name, request.sequence, row, epoch=request.epoch)
                 request.result = row
                 request.done.set()
@@ -454,17 +460,9 @@ class PredictionService:
             cached = self._cache_get(model_name, validated)
             if cached is not None:
                 self._counters.increment("cache_hits")
-                self._record_latency(start)
-                trace = current_trace()
-                if trace is not None:
-                    elapsed_ms = (time.perf_counter() - start) * 1000.0
-                    trace.add_span(
-                        "service.cache_hit",
-                        start_ms=trace.now_ms() - elapsed_ms,
-                        duration_ms=elapsed_ms,
-                        parent=current_span_id(),
-                        attrs={"model": model_name},
-                    )
+                self._record_latency(
+                    start, span="service.cache_hit", attrs={"model": model_name}
+                )
                 return cached
             if not self.coalesce:
                 self._counters.increment("cache_misses")
@@ -507,17 +505,9 @@ class PredictionService:
             if flight.error is not None:
                 raise flight.error
             self._counters.increment("coalesced_hits")
-            self._record_latency(start)
-            trace = current_trace()
-            if trace is not None:
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                trace.add_span(
-                    "service.coalesced_follower",
-                    start_ms=trace.now_ms() - elapsed_ms,
-                    duration_ms=elapsed_ms,
-                    parent=current_span_id(),
-                    attrs={"model": model_name},
-                )
+            self._record_latency(
+                start, span="service.coalesced_follower", attrs={"model": model_name}
+            )
             assert flight.value is not None
             return flight.value.copy()
 
@@ -535,7 +525,7 @@ class PredictionService:
             sequence=validated,
             model=model,
             epoch=epoch,
-            submitted_at=time.perf_counter(),
+            submitted=time.perf_counter(),
         )
         with self._submit_lock:
             self._ensure_open()  # re-checked: no submission after the sentinel
@@ -551,44 +541,24 @@ class PredictionService:
         self._record_latency(start)
         trace = current_trace()
         if trace is not None:
-            self._emit_batch_spans(trace, request)
+            # The batch thread knows nothing about traces (one pass serves
+            # many callers); the waiting caller lays out its own request's
+            # stages from the stamps the batch thread left on it.
+            batch = trace.add_stamped_span(
+                "service.batch",
+                request.submitted,
+                request.predicted,
+                parent=current_span_id(),
+                attrs={"model": request.model_name, "batch_size": request.batch_size},
+            )
+            for name, begin, end in (
+                ("service.queue_wait", request.submitted, request.drained),
+                ("service.featurize", request.started, request.featurized),
+                ("service.predict", request.featurized, request.predicted),
+            ):
+                trace.add_stamped_span(name, begin, end, parent=batch.span_id)
         assert request.result is not None
         return request.result
-
-    @staticmethod
-    def _emit_batch_spans(trace: Trace, request: _Request) -> None:
-        """Turn the batch thread's stage breadcrumbs into trace spans.
-
-        The batch thread knows nothing about traces (it serves many callers'
-        requests in one pass); the waiting caller reconstructs its own
-        request's timeline — queue wait, then the shared featurize and
-        predict stages — on the trace clock, laid out backwards from now.
-        """
-        wait_ms = request.queue_wait_s * 1000.0
-        featurize_ms = request.featurize_s * 1000.0
-        predict_ms = request.predict_s * 1000.0
-        total_ms = wait_ms + featurize_ms + predict_ms
-        cursor = trace.now_ms() - total_ms
-        parent = current_span_id()
-        batch_span = trace.add_span(
-            "service.batch",
-            start_ms=cursor,
-            duration_ms=total_ms,
-            parent=parent,
-            attrs={"model": request.model_name, "batch_size": request.batch_size},
-        )
-        for name, duration in (
-            ("service.queue_wait", wait_ms),
-            ("service.featurize", featurize_ms),
-            ("service.predict", predict_ms),
-        ):
-            trace.add_span(
-                name,
-                start_ms=cursor,
-                duration_ms=duration,
-                parent=batch_span.span_id,
-            )
-            cursor += duration
 
     def predict(self, model_name: str, sequence: Iterable[str]) -> str:
         """Predicted cuisine name for one raw recipe item sequence."""
@@ -623,7 +593,7 @@ class PredictionService:
         self._counters.increment("cache_hits", len(validated) - len(pending))
         self._counters.increment("cache_misses", len(pending))
         if pending:
-            probabilities, featurize_s, predict_s = self._predict_group(
+            probabilities, (started, featurized, predicted) = self._predict_group(
                 model, [sequence for _, sequence in pending]
             )
             for (index, sequence), row in zip(pending, probabilities):
@@ -631,34 +601,22 @@ class PredictionService:
                 rows[index] = row
             trace = current_trace()
             if trace is not None:
-                parent = current_span_id()
-                end = trace.now_ms()
-                f_ms, p_ms = featurize_s * 1000.0, predict_s * 1000.0
-                trace.add_span(
-                    "service.featurize",
-                    start_ms=end - f_ms - p_ms,
-                    duration_ms=f_ms,
-                    parent=parent,
-                    attrs={"sequences": len(pending)},
-                )
-                trace.add_span(
-                    "service.predict",
-                    start_ms=end - p_ms,
-                    duration_ms=p_ms,
-                    parent=parent,
-                    attrs={"sequences": len(pending)},
-                )
-        elif validated:
-            trace = current_trace()
-            if trace is not None:
-                trace.add_span(
-                    "service.cache_hit",
-                    start_ms=trace.now_ms(),
-                    duration_ms=0.0,
-                    parent=current_span_id(),
-                    attrs={"sequences": len(validated)},
-                )
-        self._record_latency(start, count=len(validated))
+                attrs = {"sequences": len(pending)}
+                for name, begin, end in (
+                    ("service.featurize", started, featurized),
+                    ("service.predict", featurized, predicted),
+                ):
+                    trace.add_stamped_span(
+                        name, begin, end, parent=current_span_id(), attrs=attrs
+                    )
+            self._record_latency(start, len(validated))
+        else:
+            self._record_latency(
+                start,
+                len(validated),
+                span="service.cache_hit",
+                attrs={"sequences": len(validated)},
+            )
         return np.vstack([rows[index] for index in range(len(validated))])
 
     def predict_batch(self, model_name: str, sequences: Sequence[Iterable[str]]) -> list[str]:
@@ -670,16 +628,31 @@ class PredictionService:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def _record_latency(self, start: float, count: int = 1) -> None:
-        self._latency.record(time.perf_counter() - start, count=count)
+    def _record_latency(
+        self,
+        start: float,
+        count: int = 1,
+        *,
+        span: str | None = None,
+        attrs: dict | None = None,
+    ) -> None:
+        """Record the call's latency since *start*; with *span*, also add
+        the same interval to the active trace (cache hits, coalesced
+        followers)."""
+        end = time.perf_counter()
+        self._latency.record(end - start, count=count)
+        trace = current_trace() if span is not None else None
+        if trace is not None:
+            trace.add_stamped_span(
+                span, start, end, parent=current_span_id(), attrs=attrs
+            )
 
     def stats(self) -> dict:
         """Service counters plus the underlying feature-store statistics.
 
-        Counters and latency come from the shared
-        :mod:`repro.gateway.observability` primitives — the latency dict
-        includes rolling p50/p95/p99 quantiles alongside the lifetime
-        totals.
+        Counters and histograms come from the shared
+        :mod:`repro.observability` primitives — each histogram dict carries
+        lifetime p50/p95/p99 quantiles alongside its totals and buckets.
         """
         counters = self._counters.as_dict()  # JSON-safe, sorted, zeros omitted
         requests = {
@@ -709,7 +682,12 @@ class PredictionService:
             #: Per-stage split of the batch wall clock: queue_wait (submit →
             #: batch drained), featurize (tokens), predict (encode + model) —
             #: plus the per-flush queue_depth / batch_size distributions.
-            "stages": self._stages.snapshot(),
+            #: Stages that never ran are omitted.
+            "stages": {
+                name: stage.snapshot(seconds=name in _TIMED_STAGES)
+                for name, stage in self._stages.items()
+                if stage.count
+            },
         }
         payload["cached_entries"] = len(self._result_cache)
         payload["cache"] = self._result_cache.stats()

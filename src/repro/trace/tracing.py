@@ -136,17 +136,8 @@ class Trace:
     # ------------------------------------------------------------------
     # span lifecycle
 
-    def _now_ms(self) -> float:
+    def _elapsed_ms(self) -> float:
         return (time.perf_counter() - self._t0) * 1000.0
-
-    def now_ms(self) -> float:
-        """Milliseconds since the trace's clock origin (monotonic).
-
-        Public so instrumentation that only learns durations after the fact
-        (e.g. batch-thread stage timings read back by the waiting caller)
-        can place reconstructed spans on the trace's own timeline.
-        """
-        return self._now_ms()
 
     def start_span(
         self,
@@ -164,7 +155,7 @@ class Trace:
                 span_id=f"s{self._span_seq}",
                 name=name,
                 parent_id=parent,
-                start_ms=self._now_ms(),
+                start_ms=self._elapsed_ms(),
                 attrs=dict(attrs or {}),
             )
             self.spans.append(span)
@@ -172,7 +163,7 @@ class Trace:
 
     def end_span(self, span: Span) -> None:
         if span.duration_ms is None:
-            span.duration_ms = self._now_ms() - span.start_ms
+            span.duration_ms = self._elapsed_ms() - span.start_ms
 
     def add_span(
         self,
@@ -183,8 +174,8 @@ class Trace:
         parent: str | None = None,
         attrs: dict[str, Any] | None = None,
     ) -> Span:
-        """Record an already-measured interval (e.g. service stage timings
-        stamped by the batch thread) as a closed span."""
+        """Record an already-measured interval on the trace clock as a closed
+        span."""
         with self._lock:
             self._span_seq += 1
             span = Span(
@@ -197,6 +188,26 @@ class Trace:
             )
             self.spans.append(span)
         return span
+
+    def add_stamped_span(
+        self,
+        name: str,
+        start: float,
+        end: float,
+        *,
+        parent: str | None = None,
+        attrs: dict[str, Any] | None = None,
+    ) -> Span:
+        """Record the interval between two ``time.perf_counter()`` stamps
+        (e.g. the service's per-request stage stamps, set on the batch
+        thread) as a closed span on this trace's clock."""
+        return self.add_span(
+            name,
+            start_ms=(start - self._t0) * 1000.0,
+            duration_ms=(end - start) * 1000.0,
+            parent=parent,
+            attrs=attrs,
+        )
 
     @contextmanager
     def span(

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.metrics import merge_health_snapshots
-from repro.observability import RollingLatency, merge_latency_snapshots
+from repro.observability import HISTOGRAM_ALPHA, Histogram, merge_histograms
 
 
 class TestScalarMerging:
@@ -41,6 +42,17 @@ class TestScalarMerging:
     def test_agreeing_strings_keep_value(self):
         merged = merge_health_snapshots([{"active": "v1"}, {"active": "v1"}])
         assert merged["active"] == "v1"
+
+    def test_eval_code_merges_worst_of(self):
+        """A rollback verdict on one worker is the fleet's verdict: +1 and -1
+        must not cancel into a 0 that reads as "hold"."""
+        merged = merge_health_snapshots(
+            [
+                {"routes": {"cuisine": {"eval": {"code": 1}}}},
+                {"routes": {"cuisine": {"eval": {"code": -1}}}},
+            ]
+        )
+        assert merged["routes"]["cuisine"]["eval"]["code"] == -1
 
     def test_disagreeing_strings_become_sorted_set(self):
         """Mid-rolling-restart the fleet may serve two versions at once."""
@@ -86,20 +98,20 @@ class TestStructure:
 
 class TestLatencyMerging:
     def _snapshot(self, samples):
-        latency = RollingLatency()
+        latency = Histogram()
         for seconds in samples:
             latency.record(seconds)
         return latency.snapshot()
 
     def test_latency_shaped_dicts_merge_not_sum(self):
-        """A latency snapshot must merge through merge_latency_snapshots —
+        """A histogram snapshot must merge through merge_histograms —
         summing p95s across workers would be nonsense."""
         first = self._snapshot([0.010] * 9)
         second = self._snapshot([0.100])
         merged = merge_health_snapshots(
             [{"latency": first}, {"latency": second}]
         )
-        assert merged["latency"] == merge_latency_snapshots([first, second])
+        assert merged["latency"] == merge_histograms([first, second])
         assert merged["latency"]["count"] == 10
         assert merged["latency"]["max_ms"] == pytest.approx(100.0)
 
@@ -109,6 +121,29 @@ class TestLatencyMerging:
         merged = merge_health_snapshots([{"latency": first}, {"latency": second}])
         assert merged["latency"]["count"] == 5
         assert merged["latency"]["total_seconds"] == pytest.approx(0.015)
+
+    def test_one_slow_worker_moves_fleet_p99(self):
+        """Fleet quantiles come from pooled buckets, not averaged p99s."""
+        fast = self._snapshot([0.001] * 1000)
+        slow = self._snapshot([0.100] * 1000)
+        merged = merge_health_snapshots(
+            [{"server": {"latency": fast}}, {"server": {"latency": slow}}]
+        )["server"]["latency"]
+        pooled_ms = 1000.0 * np.array([0.001] * 1000 + [0.100] * 1000)
+        assert merged["p99_ms"] == pytest.approx(
+            np.quantile(pooled_ms, 0.99), rel=HISTOGRAM_ALPHA
+        )
+        assert merged["count"] == 2000
+        assert merged["total_seconds"] == fast["total_seconds"] + slow["total_seconds"]
+        assert merged["max_ms"] == slow["max_ms"]
+
+    def test_malformed_worker_buckets_contribute_nothing(self):
+        good = self._snapshot([0.002] * 10)
+        bad = {"count": 0, "total_seconds": 0.0, "max_ms": 0.0,
+               "buckets": [["x", 1], [3], [5, "many"], [10**12, 1], "junk"]}
+        merged = merge_health_snapshots([{"latency": good}, {"latency": bad}])
+        assert merged["latency"]["buckets"] == good["buckets"]
+        assert merged["latency"]["count"] == 10
 
 
 class TestProcessGaugeMerging:

@@ -255,7 +255,8 @@ class TestObservabilityAndLifecycle:
     def test_service_latency_includes_quantiles(self, gateway, gateway_sequences):
         gateway.predict_proba("cuisine", gateway_sequences[0])
         latency = gateway.service.stats()["latency"]
-        assert {"p50_ms", "p95_ms", "p99_ms", "window"} <= set(latency)
+        assert {"p50_ms", "p95_ms", "p99_ms", "buckets"} <= set(latency)
+        assert "window" not in latency
 
     def test_close_shuts_owned_service_down(self, logreg_bundle):
         gateway = ModelGateway()

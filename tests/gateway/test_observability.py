@@ -7,20 +7,19 @@ import threading
 import numpy as np
 import pytest
 
-from repro.gateway.observability import (
-    CounterSet,
-    RollingLatency,
-    RouteMetrics,
-    StageTimer,
-    render_metrics_text,
-)
+from repro import observability
 from repro.observability import (
+    HISTOGRAM_ALPHA,
+    CounterSet,
+    Histogram,
+    RouteMetrics,
     merge_counter_dicts,
-    merge_distribution_snapshots,
-    merge_latency_snapshots,
+    merge_histograms,
     process_stats,
+    render_metrics_text,
     sanitize_metric_name,
 )
+from repro.serving import PredictionService
 
 
 class TestCounterSet:
@@ -30,7 +29,7 @@ class TestCounterSet:
         counters.increment("requests", 4)
         counters.increment("errors", 0)
         assert counters.value("requests") == 5
-        assert counters.snapshot() == {"requests": 5}  # zero counters omitted
+        assert counters.as_dict() == {"requests": 5}  # zero counters omitted
 
     def test_thread_safety(self):
         counters = CounterSet()
@@ -48,8 +47,10 @@ class TestCounterSet:
 
 
 class TestRollingLatency:
+    """A :class:`Histogram` in the latency role: seconds in, ``_ms`` out."""
+
     def test_lifetime_totals(self):
-        latency = RollingLatency(window=8)
+        latency = Histogram()
         for seconds in (0.010, 0.020, 0.030):
             latency.record(seconds)
         snapshot = latency.snapshot()
@@ -59,87 +60,135 @@ class TestRollingLatency:
         assert snapshot["max_ms"] == pytest.approx(30.0)
 
     def test_quantiles_over_ring(self):
-        latency = RollingLatency(window=100)
+        latency = Histogram()
         for millis in range(1, 101):  # 1ms .. 100ms
             latency.record(millis / 1000.0)
-        assert latency.quantile(0.50) == pytest.approx(0.0505, rel=0.02)
         snapshot = latency.snapshot()
         assert snapshot["p50_ms"] == pytest.approx(50.5, rel=0.02)
         assert snapshot["p95_ms"] == pytest.approx(95.05, rel=0.02)
         assert snapshot["p99_ms"] == pytest.approx(99.01, rel=0.02)
 
-    def test_window_evicts_history(self):
-        latency = RollingLatency(window=4)
-        latency.record(10.0)  # ancient outlier
-        for _ in range(4):
-            latency.record(0.001)
-        # The outlier left the ring: quantiles reflect recent samples only,
-        # while lifetime max still remembers it.
-        assert latency.quantile(0.99) == pytest.approx(0.001)
-        assert latency.snapshot()["max_ms"] == pytest.approx(10_000.0)
-
     def test_batched_count_attribution(self):
-        latency = RollingLatency()
+        latency = Histogram()
         latency.record(0.008, count=16)
         snapshot = latency.snapshot()
         assert snapshot["count"] == 16
         assert snapshot["total_seconds"] == pytest.approx(0.008)
+        # One observation in the buckets, however many requests it covered.
+        assert sum(n for _, n in snapshot["buckets"]) == 1
 
     def test_empty_snapshot(self):
-        snapshot = RollingLatency().snapshot()
+        snapshot = Histogram().snapshot()
         assert snapshot["count"] == 0
         assert snapshot["p50_ms"] == 0.0
         assert snapshot["mean_ms"] == 0.0
+        assert snapshot["buckets"] == []
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            RollingLatency(window=0)
+
+class TestHistogram:
+    def test_quantiles_are_lifetime(self):
+        latency = Histogram()
+        for _ in range(200):
+            latency.record(10.0)  # an early slow period: 2% of all samples
+        for _ in range(10_000):
+            latency.record(0.001)
+        # Lifetime quantiles: the early samples still hold the top percentile.
+        assert latency.snapshot()["p99_ms"] == pytest.approx(10_000.0, rel=HISTOGRAM_ALPHA)
+
+    def test_quantiles_within_alpha_of_exact(self):
+        samples = np.random.default_rng(7).lognormal(mean=-6.0, sigma=1.5, size=5000)
+        latency = Histogram()
+        for value in samples:
+            latency.record(float(value))
+        snapshot = latency.snapshot()
+        for q in (0.50, 0.95, 0.99):
+            # The reported value sits within alpha of a sample whose rank
+            # is the quantile's rank.
+            rank = int(np.ceil(q * (len(samples) - 1)))
+            exact = np.sort(samples)[rank]
+            reported = snapshot[f"p{int(q * 100)}_ms"] / 1000.0
+            assert abs(reported - exact) <= HISTOGRAM_ALPHA * exact
+
+    def test_max_and_zero_are_exact(self):
+        latency = Histogram()
+        for value in (0.0, 0.0, 0.0, 0.123, 0.123):
+            latency.record(value)
+        snapshot = latency.snapshot()
+        assert snapshot["p50_ms"] == 0.0
+        assert snapshot["max_ms"] == 1000.0 * 0.123
+        # The top bucket's value is capped at the exact maximum.
+        assert snapshot["max_ms"] * (1 - HISTOGRAM_ALPHA) <= snapshot["p99_ms"]
+        assert snapshot["p99_ms"] <= snapshot["max_ms"]
+        assert snapshot["buckets"][0] == [None, 3]  # the zero bucket leads
+
+    def test_unit_free_snapshot_keys(self):
+        sizes = Histogram()
+        for size in (1, 1, 2, 8):
+            sizes.record(size)
+        payload = sizes.snapshot(seconds=False)
+        assert list(payload) == [
+            "count", "total", "mean", "max", "p50", "p95", "p99", "buckets",
+        ]
+        assert payload["mean"] == pytest.approx(3.0)
+        assert payload["max"] == 8.0
+        assert payload["p50"] == pytest.approx(1.0, rel=HISTOGRAM_ALPHA)
 
 
 class TestStageTimer:
-    def test_stages_created_lazily(self):
-        timer = StageTimer()
-        assert timer.snapshot() == {}
-        timer.record("featurize", 0.010)
-        assert list(timer.snapshot()) == ["featurize"]
+    """The prediction service's per-stage histograms."""
 
-    def test_per_stage_latency_accounting(self):
-        timer = StageTimer()
-        timer.record("featurize", 0.010, count=4)
-        timer.record("predict", 0.020)
-        snapshot = timer.snapshot()
-        assert snapshot["featurize"]["count"] == 4
-        assert snapshot["featurize"]["total_seconds"] == pytest.approx(0.010)
-        assert snapshot["predict"]["mean_ms"] == pytest.approx(20.0)
+    STAGES = ["batch_size", "featurize", "predict", "queue_depth", "queue_wait"]
 
-    def test_snapshot_sorted_by_stage(self):
-        timer = StageTimer()
-        for name in ("predict", "featurize", "queue_wait"):
-            timer.record(name, 0.001)
-        assert list(timer.snapshot()) == ["featurize", "predict", "queue_wait"]
+    def test_stages_created_lazily(self, logreg_bundle, gateway_sequences):
+        with PredictionService({"m": logreg_bundle.model}) as service:
+            assert service.stats()["stages"] == {}
+            service.predict_proba_batch("m", gateway_sequences[:2])
+            # The explicit batch path never queues.
+            assert list(service.stats()["stages"]) == ["featurize", "predict"]
+
+    def test_per_stage_latency_accounting(self, logreg_bundle, gateway_sequences):
+        with PredictionService({"m": logreg_bundle.model}, cache_size=0) as service:
+            service.predict_proba_batch("m", gateway_sequences[:4])
+            service.predict_proba("m", gateway_sequences[4])
+            stages = service.stats()["stages"]
+        assert stages["featurize"]["count"] == 5
+        assert sum(n for _, n in stages["featurize"]["buckets"]) == 2  # two passes
+        assert stages["queue_wait"]["count"] == 1
+        assert stages["batch_size"]["max"] == 1.0
+        assert stages["queue_depth"]["max"] == 0.0
+
+    def test_snapshot_sorted_by_stage(self, logreg_bundle, gateway_sequences):
+        with PredictionService({"m": logreg_bundle.model}) as service:
+            service.predict_proba("m", gateway_sequences[0])
+            assert list(service.stats()["stages"]) == self.STAGES
 
     def test_quantile_of_unknown_stage_is_zero(self):
-        assert StageTimer().quantile("nothing", 0.99) == 0.0
+        snapshot = Histogram().snapshot()
+        assert snapshot["p99_ms"] == snapshot["max_ms"] == 0.0
 
-    def test_renders_as_flat_metrics(self):
-        timer = StageTimer()
-        timer.record("featurize", 0.010)
-        text = render_metrics_text({"stages": timer.snapshot()}, prefix="svc")
+    def test_renders_as_flat_metrics(self, logreg_bundle, gateway_sequences):
+        with PredictionService({"m": logreg_bundle.model}) as service:
+            service.predict_proba("m", gateway_sequences[0])
+            text = render_metrics_text({"stages": service.stats()["stages"]}, prefix="svc")
         assert "svc_stages_featurize_count 1" in text
+        assert "svc_stages_batch_size_max 1" in text
+        assert "_window" not in text and "buckets" not in text
 
     def test_thread_safety(self):
-        timer = StageTimer()
+        stage = Histogram()
 
         def bump():
             for _ in range(500):
-                timer.record("stage", 0.001)
+                stage.record(0.001)
 
         threads = [threading.Thread(target=bump) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert timer.snapshot()["stage"]["count"] == 4000
+        snapshot = stage.snapshot()
+        assert snapshot["count"] == 4000
+        assert sum(n for _, n in snapshot["buckets"]) == 4000
 
 
 class TestRouteMetrics:
@@ -188,24 +237,26 @@ class TestJSONSafeSnapshots:
         payload = counters.as_dict()
         assert list(payload) == ["alpha", "mid", "zeta"]
         assert all(type(value) is int for value in payload.values())
-        assert counters.snapshot() == payload  # historical alias
         json.dumps(payload)  # JSON-safe by construction
 
     def test_latency_snapshot_json_safe_stable_order(self):
-        latency = RollingLatency(window=8)
+        latency = Histogram()
         latency.record(0.010)
         latency.record(0.020, count=3)
         payload = latency.snapshot()
         assert list(payload) == [
-            "count", "total_seconds", "mean_ms", "max_ms", "window",
-            "p50_ms", "p95_ms", "p99_ms",
+            "count", "total_seconds", "mean_ms", "max_ms",
+            "p50_ms", "p95_ms", "p99_ms", "buckets",
         ]
-        assert type(payload["count"]) is int and type(payload["window"]) is int
+        assert type(payload["count"]) is int
         assert all(
             type(payload[key]) is float
             for key in ("total_seconds", "mean_ms", "max_ms", "p50_ms", "p95_ms", "p99_ms")
         )
-        json.dumps(payload)
+        assert all(
+            type(index) is int and type(n) is int for index, n in payload["buckets"]
+        )
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_route_metrics_snapshot_is_json_safe(self):
         metrics = RouteMetrics()
@@ -300,21 +351,44 @@ class TestProcessStats:
         second = process_stats()["uptime_seconds"]
         assert second >= first
 
+    @pytest.mark.parametrize(
+        "platform_name, ru_maxrss, expected",
+        [
+            ("linux", 200_000, 200_000 * 1024),  # KiB
+            ("darwin", 200_000_000, 200_000_000),  # bytes, under 4 GiB
+            ("darwin", 6 << 30, 6 << 30),
+        ],
+    )
+    def test_peak_rss_unit_follows_platform(
+        self, monkeypatch, platform_name, ru_maxrss, expected
+    ):
+        class Usage:
+            pass
+
+        usage = Usage()
+        usage.ru_maxrss = ru_maxrss
+        monkeypatch.setattr(observability.sys, "platform", platform_name)
+        monkeypatch.setattr(observability.resource, "getrusage", lambda who: usage)
+        assert process_stats()["peak_rss_bytes"] == expected
+
 
 class TestMergeEdgeCases:
+    @staticmethod
+    def _snapshot(values, *, seconds=True):
+        histogram = Histogram()
+        for value in values:
+            histogram.record(value)
+        return histogram.snapshot(seconds=seconds)
+
     def test_empty_inputs(self):
         assert merge_counter_dicts([]) == {}
-        merged = merge_latency_snapshots([])
-        assert merged["count"] == 0 and merged["mean_ms"] == 0.0
-        merged = merge_distribution_snapshots([])
+        merged = merge_histograms([])
         assert merged["count"] == 0 and merged["mean"] == 0.0
+        assert merged["buckets"] == []
 
     def test_single_snapshot_passes_through(self):
-        latency = RollingLatency()
-        latency.record(0.010)
-        latency.record(0.030)
-        snapshot = latency.snapshot()
-        assert merge_latency_snapshots([snapshot]) == pytest.approx(snapshot)
+        snapshot = self._snapshot([0.010, 0.030])
+        assert merge_histograms([snapshot]) == snapshot
         counters = {"requests": 3, "errors": 1}
         assert merge_counter_dicts([counters]) == counters
 
@@ -332,42 +406,36 @@ class TestMergeEdgeCases:
         assert merged == {"a": 2}
 
     def test_malformed_latency_fields_degrade_to_defaults(self):
-        good = {
-            "count": 2, "total_seconds": 0.02, "mean_ms": 10.0, "max_ms": 15.0,
-            "p50_ms": 10.0, "p95_ms": 15.0, "p99_ms": 15.0, "window": 256,
-        }
+        good = self._snapshot([0.010, 0.010])
         bad = {
             "count": "not-a-number", "total_seconds": float("nan"),
             "mean_ms": None, "max_ms": "x", "p50_ms": object(),
-            "p95_ms": None, "p99_ms": None, "window": None,
+            "buckets": [
+                "junk", [1], [1, 2, 3], ["7", 4], [7, "4"], [7.0, 4], [True, 4],
+                [7, 0], [7, -3], [10**9, 5], [None, 2.5], None,
+            ],
         }
-        merged = merge_latency_snapshots([good, bad])
+        merged = merge_histograms([good, bad, {"buckets": "not-a-list"}])
         assert merged["count"] == 2
         assert merged["total_seconds"] == pytest.approx(0.02)
-        assert merged["max_ms"] == 15.0
-        assert merged["p50_ms"] == pytest.approx(10.0)
+        assert merged["max_ms"] == pytest.approx(10.0)
+        assert merged["buckets"] == good["buckets"]
+        assert merged["p50_ms"] == pytest.approx(10.0, rel=HISTOGRAM_ALPHA)
 
     def test_malformed_distribution_fields_degrade_to_defaults(self):
-        good = {
-            "count": 4, "total": 8.0, "mean": 2.0, "max": 3.0,
-            "p50": 2.0, "p95": 3.0, "p99": 3.0, "window": 128,
-        }
-        merged = merge_distribution_snapshots([good, {"count": [], "total": "x"}])
+        good = self._snapshot([1, 2, 3, 2], seconds=False)
+        merged = merge_histograms([good, {"count": [], "total": "x", "buckets": {}}])
         assert merged["count"] == 4
         assert merged["total"] == pytest.approx(8.0)
         assert merged["mean"] == pytest.approx(2.0)
+        assert merged["buckets"] == good["buckets"]
 
-    def test_count_weighted_quantiles(self):
-        heavy = {
-            "count": 30, "total_seconds": 0.3, "mean_ms": 10.0, "max_ms": 12.0,
-            "p50_ms": 10.0, "p95_ms": 12.0, "p99_ms": 12.0, "window": 256,
-        }
-        light = {
-            "count": 10, "total_seconds": 0.4, "mean_ms": 40.0, "max_ms": 50.0,
-            "p50_ms": 40.0, "p95_ms": 50.0, "p99_ms": 50.0, "window": 256,
-        }
-        merged = merge_latency_snapshots([heavy, light])
-        assert merged["count"] == 40
-        assert merged["p50_ms"] == pytest.approx((30 * 10.0 + 10 * 40.0) / 40)
-        assert merged["max_ms"] == 50.0
-        assert merged["mean_ms"] == pytest.approx(1000.0 * 0.7 / 40)
+    def test_merge_is_bucket_addition(self):
+        first = self._snapshot([0.001, 0.002, 0.050])
+        second = self._snapshot([0.002, 0.004])
+        pooled = self._snapshot([0.001, 0.002, 0.050, 0.002, 0.004])
+        merged = merge_histograms([first, second])
+        assert merged["buckets"] == pooled["buckets"]
+        for key in ("count", "max_ms", "p50_ms", "p95_ms", "p99_ms"):
+            assert merged[key] == pooled[key]
+        assert merged["total_seconds"] == pytest.approx(pooled["total_seconds"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.loadgen import (
     run_open_loop,
 )
 from repro.loadgen.harness import ERROR, OK, SHED
+from repro.loadgen.workload import Workload, WorkloadRequest
 
 POOL = [("pasta", "tomato"), ("rice", "nori"), ("beef", "chili")]
 
@@ -178,3 +180,43 @@ def test_untraced_targets_leave_slow_traces_empty():
     report = run_closed_loop(StubTarget(), workload, concurrency=2)
     assert report.slow_traces == ()
     assert report.as_dict()["slow_traces"] == []
+
+
+class StallingTarget:
+    """Blocks the event loop for *stall* seconds on its first call, the way
+    a synchronous hiccup in a client process would."""
+
+    def __init__(self, stall: float) -> None:
+        self.stall = stall
+        self.calls = 0
+
+    async def predict(self, sequence, key):
+        self.calls += 1
+        if self.calls == 1:
+            time.sleep(self.stall)
+        return OK, key
+
+    async def aclose(self):
+        pass
+
+
+def test_open_loop_latency_counts_send_lateness():
+    """Requests that fell due while the loop was stalled were sent late;
+    their latency is timed from when they were due, so it shows."""
+    arrivals = (0.0, 0.04, 0.08, 0.12, 0.16)
+    workload = Workload(
+        requests=tuple(
+            WorkloadRequest(POOL[0], f"k-{index}", arrival)
+            for index, arrival in enumerate(arrivals)
+        ),
+        seed=0,
+        rate=25.0,
+    )
+    stall = 0.2
+    report = run_open_loop(StallingTarget(stall), workload)
+    assert report.ok == len(arrivals)
+    latency_ms = {entry["trace_id"]: entry["latency_ms"] for entry in report.slow_traces}
+    for index, arrival in enumerate(arrivals[1:], start=1):
+        lateness_ms = (stall - arrival) * 1000.0
+        # slow_traces rounds latencies to the microsecond.
+        assert latency_ms[f"k-{index}"] >= lateness_ms - 0.001

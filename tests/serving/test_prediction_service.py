@@ -428,6 +428,32 @@ class TestObservability:
             assert "repro_service_stages_featurize_count 4" in text
             assert "repro_service_stages_predict_count 4" in text
 
+    def test_trace_spans_and_stage_histograms_share_stamps(
+        self, export_dir, request_sequences
+    ):
+        """One record, two views: the single predict's stage spans last
+        exactly as long as the stage histograms' observations."""
+        from repro.trace import Tracer
+
+        trace = Tracer(seed=1).begin("user-1")
+        with PredictionService.from_export_dir(export_dir, cache_size=0) as service:
+            with trace.span("caller"):
+                service.predict_proba("logreg", request_sequences[0])
+            stages = service.stats()["stages"]
+        spans = {span.name: span for span in trace.spans}
+        batch = spans["service.batch"]
+        cursor = batch.start_ms
+        for stage in ("queue_wait", "featurize", "predict"):
+            span = spans[f"service.{stage}"]
+            assert stages[stage]["count"] == 1
+            assert span.duration_ms == 1000.0 * stages[stage]["total_seconds"]
+            # Children in stamp order, inside the batch span, no overlap
+            # (up to float rounding where one stage ends as the next starts).
+            assert span.parent_id == batch.span_id
+            assert span.start_ms >= cursor - 1e-9
+            cursor = span.start_ms + span.duration_ms
+        assert cursor <= batch.start_ms + batch.duration_ms + 1e-9
+
     def test_cache_stats_exposed(self, export_dir, request_sequences):
         with PredictionService.from_export_dir(
             export_dir, cache_size=64, cache_stripes=8

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 
 import pytest
 
@@ -131,6 +132,15 @@ class TestSpans:
         span = trace.add_span("stage", start_ms=1.5, duration_ms=2.5, parent="s9")
         assert (span.start_ms, span.duration_ms, span.parent_id) == (1.5, 2.5, "s9")
         assert trace.duration_ms >= 4.0
+
+    def test_add_stamped_span_places_perf_counter_stamps_on_trace_clock(self):
+        trace = Trace("t" * 32, "k", sampled=True)
+        opened = trace.start_span("op")
+        stamp = time.perf_counter()
+        span = trace.add_stamped_span("stage", stamp, stamp + 0.004, parent="s1")
+        assert span.start_ms >= opened.start_ms
+        assert span.duration_ms == pytest.approx(4.0)
+        assert span.parent_id == "s1"
 
     def test_span_context_manager_activates_and_marks_errors(self):
         trace = Trace("t" * 32, "k", sampled=True)

@@ -74,8 +74,8 @@ def request_pool(trace_corpus):
 
 def _pinned_gateway(export_dir, sleep_s: float = PINNED_SLEEP) -> ModelGateway:
     """A gateway whose model pays a fixed per-pass sleep (cache off, so
-    every request does the pinned work).  Both serving paths, fused encoder
-    and generic, funnel through ``predict_proba_features``."""
+    every request does the pinned work).  Every model pass funnels through
+    ``predict_proba_features``."""
     model = ModelBundle.load(export_dir / MODEL).model
     inner = model.predict_proba_features
 

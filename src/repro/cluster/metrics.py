@@ -15,9 +15,10 @@ structural recursion:
   except per-worker maxima (``uptime_seconds``, ``largest_batch``), which
   take the fleet **max**, and the eval verdict ``code``, which takes the
   fleet **min** (worst-of: rollback −1 < hold 0 < promote +1);
-* float leaves (``mean_batch_size``, ``agreement_rate``) **average** over
-  the workers reporting a value — an unweighted approximation, exact when
-  traffic spreads evenly;
+* declared ratio gauges (``mean_batch_size``, ``agreement_rate``) are
+  **recomputed** from their merged numerator and denominator siblings, so a
+  worker's weight is its traffic; other float leaves (and a ratio reported
+  without its parts) **average** over the workers reporting a value;
 * ``status`` merges worst-of (any non-``ok`` worker degrades the fleet);
   other strings keep the common value, or the sorted set of distinct
   values when workers disagree (e.g. mid-rolling-restart ``active``
@@ -48,6 +49,13 @@ _MAX_KEYS = frozenset({"uptime_seconds", "largest_batch"})
 #: Worst-of keys: one worker's rollback verdict (-1) must not be averaged or
 #: summed away by another worker's promote (+1).
 _MIN_KEYS = frozenset({"code"})
+#: Ratio gauges: key -> (numerator, denominator, value when the denominator
+#: is 0).  Averaging per-worker ratios would weigh a worker with 10 batches
+#: like one with 1,000; the fleet ratio is the ratio of the fleet sums.
+_RATIO_KEYS = {
+    "mean_batch_size": ("batched_requests", "batches_flushed", 0.0),
+    "agreement_rate": ("agreements", "requests", None),
+}
 
 
 def merge_health_snapshots(snapshots: Sequence[Mapping]) -> dict:
@@ -74,7 +82,15 @@ def _merge_nodes(nodes: Sequence[Mapping]) -> dict:
         if key in _PER_WORKER_KEYS:
             continue
         merged[key] = _merge_values(key, [node[key] for node in nodes if key in node])
+    for key, (numerator, denominator, empty) in _RATIO_KEYS.items():
+        part, total = merged.get(numerator, 0), merged.get(denominator)
+        if key in merged and _is_number(part) and _is_number(total):
+            merged[key] = part / total if total else empty
     return merged
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _merge_values(key: str, values: list):
@@ -85,10 +101,7 @@ def _merge_values(key: str, values: list):
         # The fleet has N pids, not one: publish the sorted list (a single
         # worker keeps its scalar so one-node views stay unchanged).
         return present[0] if len(present) == 1 else sorted(present)
-    numeric = all(
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        for value in present
-    )
+    numeric = all(_is_number(value) for value in present)
     if key in _MAX_KEYS and numeric:
         # Fleet uptime is the oldest worker's — averaging would dip on every
         # rolling restart even though the fleet never went down.  Likewise a

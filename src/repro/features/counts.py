@@ -21,8 +21,9 @@ def ngram_features(
 ) -> list[str]:
     """Turn a document into its n-gram feature list.
 
-    Shared analyzer of :class:`CountVectorizer` and
-    :class:`~repro.features.tfidf.TfidfVectorizer`: a document is either a
+    Shared analyzer of :class:`CountVectorizer`,
+    :class:`~repro.features.tfidf.TfidfVectorizer` and
+    :class:`~repro.features.hashing.HashingVectorizer`: a document is either a
     whitespace-joined string or an already-tokenized sequence; n-grams join
     consecutive tokens with single spaces.
     """

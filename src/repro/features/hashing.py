@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
+from repro.features.counts import ngram_features
+
 
 def _stable_hash(term: str) -> int:
     """Deterministic 64-bit hash of *term* (Python's ``hash`` is salted per run)."""
@@ -40,21 +42,6 @@ class HashingVectorizer:
         self.alternate_sign = alternate_sign
         self.binary = binary
 
-    def _analyze(self, document: str | Sequence[str]) -> list[str]:
-        tokens = document.split() if isinstance(document, str) else list(document)
-        lo, hi = self.ngram_range
-        if lo == 1 and hi == 1:
-            return tokens
-        features: list[str] = []
-        for n in range(lo, hi + 1):
-            if n == 1:
-                features.extend(tokens)
-            else:
-                features.extend(
-                    " ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-                )
-        return features
-
     def transform(self, documents: Iterable[str | Sequence[str]]) -> sparse.csr_matrix:
         """Vectorize *documents*; no fitting is required."""
         indptr = [0]
@@ -62,7 +49,7 @@ class HashingVectorizer:
         data: list[float] = []
         for document in documents:
             row: dict[int, float] = {}
-            for feature in self._analyze(document):
+            for feature in ngram_features(document, self.ngram_range):
                 h = _stable_hash(feature)
                 bucket = h % self.n_features
                 sign = 1.0

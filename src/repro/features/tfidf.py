@@ -66,33 +66,41 @@ class TfidfVectorizer:
         """Vectorize *documents* into TF-IDF space."""
         if self.idf_ is None:
             raise RuntimeError("vectorizer is not fitted; call fit() first")
-        counts = self._counter.transform(documents).astype(np.float64)
-        if self.sublinear_tf:
-            counts.data = 1.0 + np.log(counts.data)
-        tfidf = counts.multiply(sparse.csr_matrix(self.idf_)).tocsr()
-        return self._normalize(tfidf)
+        return self._weight(self._counter.transform(documents))
 
     def fit_transform(self, documents: Iterable[str | Sequence[str]]) -> sparse.csr_matrix:
         """Fit and transform in one pass over *documents*."""
         documents = list(documents)
-        counts = self._counter.fit_transform(documents).astype(np.float64)
+        counts = self._counter.fit_transform(documents)
         self._fit_idf(counts)
-        if self.sublinear_tf:
-            counts.data = 1.0 + np.log(counts.data)
-        tfidf = counts.multiply(sparse.csr_matrix(self.idf_)).tocsr()
-        return self._normalize(tfidf)
+        return self._weight(counts)
 
     # ------------------------------------------------------------------
-    def _normalize(self, matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-        if self.norm is None:
-            return matrix
+    def _weight(self, counts: sparse.csr_matrix) -> sparse.csr_matrix:
+        """Weight and normalise the float64 count CSR in place.
+
+        *counts* is in canonical layout (sorted indices, no duplicates) and
+        so is the result, whatever the batch size.  Row norms use
+        ``np.add.reduceat`` over the nonempty rows — the reduction scipy's
+        CSR ``sum(axis=1)`` runs — so values are bitwise those of the scipy
+        formulation ``diags(1 / norms) @ counts.multiply(idf)``.
+        """
+        data = counts.data
+        if self.sublinear_tf:
+            np.log(data, out=data)
+            data += 1.0
+        data *= self.idf_[counts.indices]
+        if self.norm is None or not len(data):
+            return counts
+        lengths = np.diff(counts.indptr)
+        nonempty = lengths > 0
+        terms = data * data if self.norm == "l2" else np.abs(data)
+        norms = np.add.reduceat(terms, counts.indptr[:-1][nonempty])
         if self.norm == "l2":
-            norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
-        else:
-            norms = np.asarray(np.abs(matrix).sum(axis=1)).ravel()
+            np.sqrt(norms, out=norms)
         norms[norms == 0.0] = 1.0
-        inverse = sparse.diags(1.0 / norms)
-        return (inverse @ matrix).tocsr()
+        data *= np.repeat(1.0 / norms, lengths[nonempty])
+        return counts
 
     # ------------------------------------------------------------------
     def get_state(self) -> dict:

@@ -213,9 +213,9 @@ def _inject_service_time(gateway: ModelGateway, seconds: float) -> None:
 
     A benchmark hook (``--service-time``): scale-out benchmarks need worker
     capacity bounded by a known per-request service time, not by how many
-    host cores the CI machine happens to have.  Both serving paths (fused
-    encoder and generic) funnel through ``predict_proba_features``, so the
-    sleep applies exactly once per model pass.
+    host cores the CI machine happens to have.  Every model pass funnels
+    through ``predict_proba_features``, so the sleep applies exactly once
+    per pass.
     """
     registry = gateway.registry
     for route in registry.routes():

@@ -11,8 +11,7 @@ The subsystem turns exported model bundles into a running inference layer:
   hit/latency counters;
 * :mod:`repro.serving.featurizer` — :class:`BatchFeaturizer`, the batch
   fast path of the service's miss traffic (one-pass tokenization with a
-  shared item memo, plus precomputed fused encoders for unigram TF-IDF and
-  hashing-trick specs, bitwise-identical to the sequential path);
+  shared item memo, bitwise-identical to the sequential path);
 * :mod:`repro.serving.cache` — :class:`ShardedResultCache`, the
   epoch-guarded LRU result cache partitioned into independently-locked
   stripes, which also hosts the single-flight registry coalescing identical
@@ -26,19 +25,13 @@ from repro.serving.bundle import (
     validate_manifest,
 )
 from repro.serving.cache import InFlight, ShardedResultCache
-from repro.serving.featurizer import (
-    BatchFeaturizer,
-    PrecomputedHashingEncoder,
-    PrecomputedTfidfEncoder,
-)
+from repro.serving.featurizer import BatchFeaturizer
 from repro.serving.service import PredictionService
 
 __all__ = [
     "BatchFeaturizer",
     "InFlight",
     "ModelBundle",
-    "PrecomputedHashingEncoder",
-    "PrecomputedTfidfEncoder",
     "PredictionService",
     "ShardedResultCache",
     "discover_bundles",

@@ -13,23 +13,6 @@ staying **bitwise-identical** to the sequential path:
   string appearing in many recipes of the batch (``salt``, ``onion``,
   ``stir`` — the normal case) runs the clean/tokenize/lemmatize chain exactly
   once.  The memo is a bounded LRU kept across batches.
-* :class:`PrecomputedTfidfEncoder` — fuses token lists → TF-IDF CSR assembly
-  into one NumPy pass over the fitted vectorizer's precomputed vocabulary and
-  idf arrays (no intermediate sparse allocations, no ``astype``/``tocsr``
-  round-trips), bitwise-identical to
-  :meth:`~repro.features.tfidf.TfidfVectorizer.transform`.
-* :class:`PrecomputedHashingEncoder` — the hashing-trick analogue for
-  stateless :class:`~repro.features.hashing.HashingVectorizer` features:
-  token → (bucket, sign) lookups are memoised (BLAKE2b runs once per distinct
-  token, not once per occurrence) and the CSR is assembled vectorised,
-  bitwise-identical to ``HashingVectorizer.transform``.
-
-Both encoders run the shared :func:`~repro.features.counts.ngram_features`
-analyzer first, so n-gram specs (``ngram_range > (1, 1)``) take the fused
-path too — the expansion produces exactly the feature strings the reference
-vectorizers analyze, and everything downstream is the same merged CSR
-assembly.  :meth:`BatchFeaturizer.encoder_for` gates only on the model: one
-that overrides ``encode_tokens`` keeps its own encoding.
 """
 
 from __future__ import annotations
@@ -38,201 +21,18 @@ import threading
 from collections import OrderedDict
 from typing import Sequence
 
-import numpy as np
 from scipy import sparse
 
-from repro.features.counts import ngram_features
-from repro.features.hashing import HashingVectorizer, _stable_hash
 from repro.features.tfidf import TfidfVectorizer
 from repro.pipeline.fingerprint import sequence_key, stable_hash
 from repro.pipeline.store import FeatureStore, _load_json, _save_json
 from repro.text.pipeline import PipelineConfig
 from repro.text.stages import StageChain
 
-__all__ = [
-    "BatchFeaturizer",
-    "PrecomputedHashingEncoder",
-    "PrecomputedTfidfEncoder",
-]
+__all__ = ["BatchFeaturizer"]
 
 #: Store artifact kind shared with :meth:`FeatureStore.sequence_tokens`.
 _SEQUENCE_KIND = "sequence_tokens"
-
-
-def _assemble_csr(
-    column_chunks: list[np.ndarray | list[int]],
-    values_for,
-    n_features: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Merge per-document column occurrences into canonical CSR arrays.
-
-    ``values_for(keys, counts, order)`` maps the merged (sorted, deduplicated)
-    occurrence keys to the CSR data array; *order* groups the original
-    occurrence positions by key (for signed/weighted merges).
-
-    Returns ``(data, indices, indptr, rows)`` where *rows* is the row index
-    of every stored element (needed for row-wise normalisation).
-    """
-    n_docs = len(column_chunks)
-    lengths = [len(chunk) for chunk in column_chunks]
-    occurrence_rows = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-    occurrence_columns = (
-        np.concatenate([np.asarray(c, dtype=np.int64) for c in column_chunks])
-        if any(lengths)
-        else np.zeros(0, dtype=np.int64)
-    )
-    keys, index, counts = np.unique(
-        occurrence_rows * n_features + occurrence_columns,
-        return_inverse=True,
-        return_counts=True,
-    )
-    data = values_for(keys, counts, index)
-    rows = keys // n_features
-    indices = keys % n_features
-    indptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
-    return data, indices, indptr, rows
-
-
-class PrecomputedTfidfEncoder:
-    """Fused tokens → TF-IDF CSR encoding over a fitted vectorizer.
-
-    Bitwise-identical to ``vectorizer.transform(token_lists)`` for any
-    ``ngram_range``: the shared analyzer expands the same n-gram strings,
-    then same counts, same sublinear/idf weighting (one multiply per stored
-    element), same normalisation order of operations.
-    """
-
-    def __init__(self, vectorizer: TfidfVectorizer) -> None:
-        if vectorizer.idf_ is None:
-            raise RuntimeError("vectorizer is not fitted; call fit() first")
-        self.vectorizer = vectorizer
-        # Precomputed once per fitted model: the term -> column table and the
-        # idf weights, referenced (not copied) from the fitted artifacts.
-        self._vocabulary_get = vectorizer.vocabulary_.get
-        self._idf = sparse.csr_matrix(vectorizer.idf_)
-        self._n_features = vectorizer.n_features
-        self._sublinear = vectorizer.sublinear_tf
-        self._ngram_range = vectorizer._counter.ngram_range
-
-    def encode(self, token_lists: Sequence[Sequence[str]]) -> sparse.csr_matrix:
-        """TF-IDF CSR matrix of *token_lists* (one fused NumPy pass)."""
-        get = self._vocabulary_get
-        ngram_range = self._ngram_range
-        column_chunks = [
-            [
-                idx
-                for idx in map(get, ngram_features(tokens, ngram_range))
-                if idx is not None
-            ]
-            for tokens in token_lists
-        ]
-        n_docs = len(column_chunks)
-        data, indices, indptr, _ = _assemble_csr(
-            column_chunks,
-            lambda keys, counts, order: counts.astype(np.float64),
-            self._n_features,
-        )
-        counts = sparse.csr_matrix(
-            (data, indices, indptr),
-            shape=(n_docs, self._n_features),
-            dtype=np.float64,
-        )
-        # From the counts on, run the *literal* reference ops on the fused
-        # matrix.  Downstream classifiers sum sparse products in storage
-        # order, so even the internal CSR layout must match — and scipy's
-        # broadcasting multiply / normalisation reductions have
-        # version-specific orderings (pairwise row sums, linked-list matmul)
-        # that a reimplementation would have to chase ulp by ulp.  The fusion
-        # win is everything before this point: analyzer calls, the astype
-        # copy, and the per-document Python bookkeeping are gone.
-        if self._sublinear:
-            counts.data = 1.0 + np.log(counts.data)
-        tfidf = counts.multiply(self._idf).tocsr()
-        return self.vectorizer._normalize(tfidf)
-
-
-class PrecomputedHashingEncoder:
-    """Memoised hashing-trick encoding for stateless hashed features.
-
-    ``HashingVectorizer.transform`` digests every feature *occurrence* with
-    BLAKE2b.  This encoder memoises feature → (bucket, sign) in a bounded
-    LRU (hashing runs once per distinct feature string — n-grams included)
-    and assembles the CSR with the same vectorised merge as the TF-IDF path
-    — bitwise-identical output for any ``ngram_range``.
-    """
-
-    def __init__(self, vectorizer: HashingVectorizer, memo_size: int = 65536) -> None:
-        self.vectorizer = vectorizer
-        self._ngram_range = vectorizer.ngram_range
-        self._memo: OrderedDict[str, tuple[int, float]] = OrderedDict()
-        self._memo_size = memo_size
-        self._memo_lock = threading.Lock()
-
-    def _bucket_sign(self, token: str) -> tuple[int, float]:
-        with self._memo_lock:
-            entry = self._memo.get(token)
-            if entry is not None:
-                self._memo.move_to_end(token)
-                return entry
-        h = _stable_hash(token)
-        bucket = h % self.vectorizer.n_features
-        sign = -1.0 if self.vectorizer.alternate_sign and (h >> 63) & 1 else 1.0
-        with self._memo_lock:
-            self._memo[token] = (bucket, sign)
-            if len(self._memo) > self._memo_size:
-                self._memo.popitem(last=False)
-        return bucket, sign
-
-    def encode(self, token_lists: Sequence[Sequence[str]]) -> sparse.csr_matrix:
-        """Hashed CSR matrix of *token_lists*, matching the reference path."""
-        n_features = self.vectorizer.n_features
-        column_chunks: list[list[int]] = []
-        sign_chunks: list[list[float]] = []
-        for tokens in token_lists:
-            columns: list[int] = []
-            signs: list[float] = []
-            for token in ngram_features(tokens, self._ngram_range):
-                bucket, sign = self._bucket_sign(token)
-                columns.append(bucket)
-                signs.append(sign)
-            column_chunks.append(columns)
-            sign_chunks.append(signs)
-        occurrence_signs = (
-            np.concatenate([np.asarray(s, dtype=np.float64) for s in sign_chunks])
-            if any(len(s) for s in sign_chunks)
-            else np.zeros(0, dtype=np.float64)
-        )
-
-        def signed_sums(keys, counts, order):
-            # Sum of ±1.0 per (row, bucket); occurrence order within a key
-            # matches the reference dict accumulation (both are exact).
-            sums = np.bincount(order, weights=occurrence_signs, minlength=len(keys))
-            return sums
-
-        data, indices, indptr, _ = _assemble_csr(
-            column_chunks, signed_sums, n_features
-        )
-        # The reference path drops exact-zero buckets (alternating signs that
-        # cancelled) and binarises afterwards.
-        keep = data != 0.0
-        if not keep.all():
-            per_row = np.bincount(
-                np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)),
-                weights=keep.astype(np.float64),
-                minlength=len(indptr) - 1,
-            )
-            data = data[keep]
-            indices = indices[keep]
-            indptr = np.zeros(len(per_row) + 1, dtype=np.int64)
-            np.cumsum(per_row.astype(np.int64), out=indptr[1:])
-        if self.vectorizer.binary:
-            data = np.sign(data)
-        return sparse.csr_matrix(
-            (data, indices, indptr),
-            shape=(len(column_chunks), n_features),
-            dtype=np.float64,
-        )
 
 
 class BatchFeaturizer:
@@ -355,36 +155,21 @@ class BatchFeaturizer:
                     results[position] = tokens
         return results  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------
-    def encoder_for(self, model):
-        """The precomputed encoder for *model*, or ``None``.
 
-        A model qualifies when it uses the stock
-        ``StatisticalModel.encode_tokens`` (no subclass or per-instance
-        override) over a fitted vectorizer — any ``ngram_range``.
-        Sequential models (vocabulary encoding is already batch-vectorised)
-        fall back to ``model.predict_proba_tokens``.
-        """
-        from repro.models.statistical import StatisticalModel
+class PrecomputedTfidfEncoder:
+    """Adapter kept only for ``perfbench/traced_server.py``.
 
-        if not isinstance(model, StatisticalModel):
-            return None
-        if "encode_tokens" in vars(model):
-            return None  # per-instance override (tests, wrappers) wins
-        if type(model).encode_tokens is not StatisticalModel.encode_tokens:
-            return None
-        vectorizer = model.vectorizer
-        cached = getattr(model, "_precomputed_encoder", None)
-        if cached is not None and cached.vectorizer is vectorizer:
-            return cached
-        encoder = None
-        if isinstance(vectorizer, TfidfVectorizer):
-            if vectorizer.idf_ is not None:
-                encoder = PrecomputedTfidfEncoder(vectorizer)
-        elif isinstance(vectorizer, HashingVectorizer):
-            encoder = PrecomputedHashingEncoder(vectorizer)
-        if encoder is not None:
-            # Cached on the model object itself so hot-swapped models (and
-            # requests pinned to them mid-swap) each keep their own encoder.
-            model._precomputed_encoder = encoder
-        return encoder
+    The perfbench tracer imports this class and wraps :meth:`encode` as its
+    ``encode`` span.  Nothing in ``repro`` calls it: serving encodes through
+    :meth:`StatisticalModel.predict_proba_tokens
+    <repro.models.statistical.StatisticalModel.predict_proba_tokens>`, i.e.
+    :meth:`TfidfVectorizer.transform`.  The next benchmark change moves the
+    probe to ``StatisticalModel.encode_tokens`` and deletes this class.
+    """
+
+    def __init__(self, vectorizer: TfidfVectorizer) -> None:
+        self.vectorizer = vectorizer
+
+    def encode(self, token_lists: Sequence[Sequence[str]]) -> sparse.csr_matrix:
+        """``self.vectorizer.transform(token_lists)``."""
+        return self.vectorizer.transform(token_lists)

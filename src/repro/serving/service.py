@@ -270,13 +270,7 @@ class PredictionService:
         started = time.perf_counter()
         tokens = self._featurize(model, sequences)
         featurized = time.perf_counter()
-        encoder = self._featurizer.encoder_for(model)
-        if encoder is not None:
-            # Precomputed fused encoding (bitwise-identical features), then
-            # the same classifier pass the generic path would run.
-            probabilities = model.predict_proba_features(encoder.encode(tokens))
-        else:
-            probabilities = model.predict_proba_tokens(tokens)
+        probabilities = model.predict_proba_tokens(tokens)
         predicted = time.perf_counter()
         self._stages["featurize"].record(featurized - started, count=len(sequences))
         self._stages["predict"].record(predicted - featurized, count=len(sequences))

@@ -186,3 +186,54 @@ class TestProcessGaugeMerging:
         )
         assert merged["process"]["peak_rss_bytes"] == 350
         assert merged["process"]["python_version"] == "3.11.7"
+
+
+class TestRatioGauges:
+    """Ratio gauges merge from their parts, weighted by each worker's traffic."""
+
+    def test_mean_batch_size_weighs_workers_by_batches(self):
+        merged = merge_health_snapshots(
+            [
+                {
+                    "service": {
+                        "batches_flushed": 1000,
+                        "batched_requests": 1000,
+                        "mean_batch_size": 1.0,
+                    }
+                },
+                {
+                    "service": {
+                        "batches_flushed": 10,
+                        "batched_requests": 320,
+                        "mean_batch_size": 32.0,
+                    }
+                },
+            ]
+        )["service"]
+        assert merged["mean_batch_size"] == 1320 / 1010  # not (1 + 32) / 2
+        assert merged["batches_flushed"] == 1010
+
+    def test_agreement_rate_weighs_workers_by_requests(self):
+        merged = merge_health_snapshots(
+            [
+                {"shadow": {"requests": 1000, "agreements": 1000, "agreement_rate": 1.0}},
+                {"shadow": {"requests": 10, "agreements": 0, "agreement_rate": 0.0}},
+            ]
+        )["shadow"]
+        assert merged["agreement_rate"] == 1000 / 1010  # 0.99, not 0.5
+
+    def test_zero_denominator(self):
+        merged = merge_health_snapshots(
+            [
+                {
+                    "service": {"batches_flushed": 0, "mean_batch_size": 0.0},
+                    "shadow": {"requests": 0, "agreements": 0, "agreement_rate": None},
+                },
+                {
+                    "service": {"batches_flushed": 0, "mean_batch_size": 0.0},
+                    "shadow": {"requests": 0, "agreements": 0, "agreement_rate": None},
+                },
+            ]
+        )
+        assert merged["service"]["mean_batch_size"] == 0.0
+        assert merged["shadow"]["agreement_rate"] is None

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from repro.features.tfidf import TfidfVectorizer
+from repro.text.pipeline import PipelineConfig
 
 
 DOCS = [
@@ -93,3 +94,107 @@ class TestDownweighting:
         # In document 0 both "add" and "garlic" occur once; garlic (rare) must
         # carry more weight than add (ubiquitous).
         assert matrix[0, vocab["garlic"]] > matrix[0, vocab["add"]]
+
+
+def _scipy_reference(vectorizer, documents):
+    """The scipy formulation ``transform`` replaced, kept as a reference:
+    idf by a broadcast multiply, row norms by CSR ``sum(axis=1)``, and the
+    normalisation as ``diags(1 / norms) @ matrix``."""
+    counts = vectorizer._counter.transform(documents).astype(np.float64)
+    if vectorizer.sublinear_tf:
+        counts.data = 1.0 + np.log(counts.data)
+    matrix = counts.multiply(sparse.csr_matrix(vectorizer.idf_)).tocsr()
+    if vectorizer.norm is None:
+        return matrix
+    if vectorizer.norm == "l2":
+        norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+    else:
+        norms = np.asarray(np.abs(matrix).sum(axis=1)).ravel()
+    norms[norms == 0.0] = 1.0
+    return (sparse.diags(1.0 / norms) @ matrix).tocsr()
+
+
+def _assert_same_bytes(expected, actual):
+    assert expected.shape == actual.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(expected, name).tobytes() == getattr(actual, name).tobytes()
+
+
+def _kwargs_id(kwargs):
+    return ",".join(f"{key}={value}" for key, value in kwargs.items()) or "default"
+
+
+class TestScipyReference:
+    """``transform`` against the scipy formulation it replaced."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, tiny_corpus):
+        chain = PipelineConfig(split_items=True).stage_chain()
+        documents = [chain.run_sequence(r.sequence) for r in tiny_corpus.recipes[:60]]
+        return documents + [[], ["never-in-vocabulary-token"]]
+
+    def _fitted(self, documents, **kwargs):
+        return TfidfVectorizer(**kwargs).fit(documents[: len(documents) // 2])
+
+    def _batches(self, documents):
+        # Every batch has two or more rows; empty and all-out-of-vocabulary
+        # documents sit at the end and between nonempty rows.
+        middle = [documents[0], documents[-2], documents[-1], documents[1]]
+        return [documents, documents[:2], documents[5:8], documents[-3:], middle]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"sublinear_tf": True},
+            {"smooth_idf": False},
+            {"ngram_range": (1, 2)},
+            {"ngram_range": (2, 2)},
+            {"ngram_range": (1, 3)},
+            {"ngram_range": (3, 3)},
+        ],
+        ids=_kwargs_id,
+    )
+    def test_l2_bitwise(self, documents, kwargs):
+        vectorizer = self._fitted(documents, **kwargs)
+        for batch in self._batches(documents):
+            _assert_same_bytes(
+                _scipy_reference(vectorizer, batch), vectorizer.transform(batch)
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"norm": "l1"}, {"norm": None}], ids=_kwargs_id
+    )
+    def test_other_norms_canonical(self, documents, kwargs):
+        vectorizer = self._fitted(documents, **kwargs)
+        for batch in self._batches(documents):
+            expected = _scipy_reference(vectorizer, batch)
+            expected.sort_indices()
+            actual = vectorizer.transform(batch)
+            assert actual.has_canonical_format
+            _assert_same_bytes(expected, actual)
+
+    def test_layout_is_canonical_for_one_row(self, documents):
+        vectorizer = self._fitted(documents)
+        lone = vectorizer.transform(documents[:1])
+        assert lone.has_canonical_format
+        _assert_same_bytes(vectorizer.transform(documents[:2])[0], lone)
+
+    def test_fit_transform_bitwise(self, documents):
+        vectorizer = TfidfVectorizer(sublinear_tf=True)
+        _assert_same_bytes(
+            vectorizer.fit_transform(documents),
+            _scipy_reference(vectorizer, documents),
+        )
+
+    def test_empty_batch(self, documents):
+        vectorizer = self._fitted(documents)
+        matrix = vectorizer.transform([])
+        assert matrix.shape == (0, vectorizer.n_features)
+        assert matrix.nnz == 0
+
+    def test_empty_and_out_of_vocabulary_rows_stay_zero(self, documents):
+        vectorizer = self._fitted(documents)
+        matrix = vectorizer.transform(documents[-3:])
+        assert matrix[1].nnz == 0 and matrix[2].nnz == 0
+        assert np.sqrt(matrix[0].multiply(matrix[0]).sum()) == pytest.approx(1.0)

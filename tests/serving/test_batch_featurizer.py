@@ -1,19 +1,11 @@
 """Property tests: the batch featurizer is bitwise-identical to the
 per-sequence path, across every pipeline configuration and registry model."""
 
-import numpy as np
 import pytest
 
-from repro.features.hashing import HashingVectorizer
-from repro.features.tfidf import TfidfVectorizer
 from repro.models.registry import MODEL_NAMES, create_model
-from repro.models.statistical import StatisticalModel
 from repro.pipeline.store import FeatureStore
-from repro.serving.featurizer import (
-    BatchFeaturizer,
-    PrecomputedHashingEncoder,
-    PrecomputedTfidfEncoder,
-)
+from repro.serving.featurizer import BatchFeaturizer
 from repro.text.pipeline import PipelineConfig
 
 #: Every PipelineConfig combination over the four boolean axes.
@@ -117,140 +109,3 @@ class TestStoreAccounting:
         featurizer.batch_tokens(sequences, config, store=store)
         assert store.miss_count("sequence_tokens") == misses_before
         assert store.hit_count("sequence_tokens") >= len(sequences)
-
-
-def _token_docs(sequences):
-    chain = PipelineConfig(split_items=True).stage_chain()
-    docs = [chain.run_sequence(sequence) for sequence in sequences]
-    docs.append([])  # empty document
-    docs.append(["never-in-vocabulary-token"])
-    return docs
-
-
-def _assert_csr_bitwise(reference, fused):
-    """Identical CSR down to the internal layout (indices order included) —
-    downstream sparse products sum in storage order, so layout matters."""
-    assert reference.shape == fused.shape
-    np.testing.assert_array_equal(reference.indptr, fused.indptr)
-    np.testing.assert_array_equal(reference.indices, fused.indices)
-    np.testing.assert_array_equal(reference.data, fused.data)
-
-
-class TestPrecomputedEncoders:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"sublinear_tf": True},
-            {"norm": "l1"},
-            {"norm": None},
-            {"smooth_idf": False},
-        ],
-        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()) or "default",
-    )
-    def test_tfidf_encoder_bitwise(self, sequences, kwargs):
-        docs = _token_docs(sequences)
-        vectorizer = TfidfVectorizer(**kwargs)
-        vectorizer.fit(docs[: len(docs) // 2])
-        encoder = PrecomputedTfidfEncoder(vectorizer)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n_features": 128},
-            {"n_features": 128, "binary": True},
-            {"n_features": 128, "alternate_sign": False},
-            {"n_features": 8},  # heavy collisions, sign cancellation
-        ],
-        ids=["default", "binary", "no_sign", "tiny"],
-    )
-    def test_hashing_encoder_bitwise(self, sequences, kwargs):
-        docs = _token_docs(sequences)
-        vectorizer = HashingVectorizer(**kwargs)
-        encoder = PrecomputedHashingEncoder(vectorizer)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
-
-    def test_hashing_memo_bound_respected(self, sequences):
-        docs = _token_docs(sequences)
-        vectorizer = HashingVectorizer(n_features=64)
-        encoder = PrecomputedHashingEncoder(vectorizer, memo_size=3)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
-        assert len(encoder._memo) <= 3
-
-    def test_unfitted_tfidf_rejected(self):
-        with pytest.raises(RuntimeError, match="not fitted"):
-            PrecomputedTfidfEncoder(TfidfVectorizer())
-
-    NGRAM_RANGES = [(1, 2), (2, 2), (1, 3), (3, 3)]
-
-    @pytest.mark.parametrize("ngram_range", NGRAM_RANGES, ids=str)
-    def test_tfidf_ngram_encoder_bitwise(self, sequences, ngram_range):
-        docs = _token_docs(sequences)
-        vectorizer = TfidfVectorizer(ngram_range=ngram_range)
-        vectorizer.fit(docs[: len(docs) // 2])
-        encoder = PrecomputedTfidfEncoder(vectorizer)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
-
-    @pytest.mark.parametrize("ngram_range", NGRAM_RANGES, ids=str)
-    def test_hashing_ngram_encoder_bitwise(self, sequences, ngram_range):
-        docs = _token_docs(sequences)
-        vectorizer = HashingVectorizer(n_features=128, ngram_range=ngram_range)
-        encoder = PrecomputedHashingEncoder(vectorizer)
-        _assert_csr_bitwise(vectorizer.transform(docs), encoder.encode(docs))
-
-    def test_ngram_vectorizer_model_gets_encoder(self, sequences):
-        """N-gram specs now qualify for the fused dispatch path."""
-        docs = _token_docs(sequences)
-        model = create_model("naive_bayes")
-        model.vectorizer = TfidfVectorizer(ngram_range=(1, 2)).fit(docs)
-        assert isinstance(
-            BatchFeaturizer().encoder_for(model), PrecomputedTfidfEncoder
-        )
-
-
-class TestEncoderDispatch:
-    @pytest.fixture(scope="class")
-    def fitted_logreg(self, tiny_corpus):
-        model = create_model("logreg", max_iter=30)
-        model.fit(tiny_corpus)
-        return model
-
-    def test_statistical_model_gets_tfidf_encoder(self, fitted_logreg):
-        encoder = BatchFeaturizer().encoder_for(fitted_logreg)
-        assert isinstance(encoder, PrecomputedTfidfEncoder)
-
-    def test_encoder_cached_per_model(self, fitted_logreg):
-        featurizer = BatchFeaturizer()
-        assert featurizer.encoder_for(fitted_logreg) is featurizer.encoder_for(
-            fitted_logreg
-        )
-
-    def test_instance_override_disables_fast_path(self, fitted_logreg, tiny_corpus):
-        model = create_model("logreg", max_iter=30)
-        model.fit(tiny_corpus)
-        model.encode_tokens = lambda token_lists: (_ for _ in ()).throw(
-            RuntimeError("boom")
-        )
-        assert BatchFeaturizer().encoder_for(model) is None
-
-    def test_sequential_model_has_no_encoder(self):
-        assert BatchFeaturizer().encoder_for(create_model("lstm")) is None
-
-    def test_encoder_predictions_bitwise(self, fitted_logreg, sequences):
-        """The fused path reproduces predict_proba_tokens bit for bit."""
-        config = fitted_logreg.feature_spec().pipeline
-        tokens = _sequential_tokens(sequences, config)
-        encoder = BatchFeaturizer().encoder_for(fitted_logreg)
-        fused = fitted_logreg.predict_proba_features(encoder.encode(tokens))
-        np.testing.assert_array_equal(
-            fitted_logreg.predict_proba_tokens(tokens), fused
-        )
-
-    def test_hashing_vectorizer_model_dispatch(self, fitted_logreg, sequences):
-        """A statistical model over hashed features gets the hashing encoder."""
-        model = create_model("naive_bayes")
-        model.vectorizer = HashingVectorizer(n_features=32)
-        assert isinstance(model, StatisticalModel)
-        encoder = BatchFeaturizer().encoder_for(model)
-        assert isinstance(encoder, PrecomputedHashingEncoder)

@@ -28,6 +28,11 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
+        if x.ndim > 2:
+            # One GEMM over the flattened leading dimensions instead of one
+            # per leading index; gradients flow back through the reshapes.
+            flat = self.forward(x.reshape(-1, self.in_features))
+            return flat.reshape(*x.shape[:-1], self.out_features)
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias

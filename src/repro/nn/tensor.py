@@ -400,9 +400,18 @@ class Tensor:
         """Gaussian error linear unit (tanh approximation, as in BERT)."""
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x**3)
-        tanh_inner = np.tanh(inner)
-        data = 0.5 * x * (1.0 + tanh_inner)
+        # c * (x + 0.044715 * x**3), in place on one buffer.  The cube is a
+        # product: NumPy's scalar-power fast path covers 2, 0.5 and -1 but
+        # not 3, so ``x**3`` runs libm ``pow`` on every element.
+        tanh_inner = x * x
+        tanh_inner *= x
+        tanh_inner *= 0.044715
+        tanh_inner += x
+        tanh_inner *= c
+        np.tanh(tanh_inner, out=tanh_inner)
+        # 0.5 * x * (1 + tanh), keeping that association.
+        data = 0.5 * x
+        data *= 1.0 + tanh_inner
 
         def backward(gradient: np.ndarray):
             sech2 = 1.0 - tanh_inner**2
@@ -413,9 +422,9 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        data = exp / exp.sum(axis=axis, keepdims=True)
+        data = self.data - self.data.max(axis=axis, keepdims=True)
+        np.exp(data, out=data)
+        data /= data.sum(axis=axis, keepdims=True)
 
         def backward(gradient: np.ndarray):
             dot = (gradient * data).sum(axis=axis, keepdims=True)

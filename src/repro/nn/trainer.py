@@ -183,7 +183,14 @@ class Trainer:
         mask: np.ndarray | None,
         batch_size: int | None = None,
     ) -> np.ndarray:
-        """Model logits for every row of *ids* (evaluation mode, batched)."""
+        """Model logits for every row of *ids* (evaluation mode, batched).
+
+        Leaves the model in evaluation mode.  ``eval()`` is idempotent, so
+        threads predicting on one model concurrently all run without
+        dropout; switching back to training mode here would turn dropout on
+        in the middle of another thread's forward pass.  :meth:`fit` calls
+        ``train()`` at the start of every epoch.
+        """
         batch_size = batch_size or self.config.batch_size
         self.model.eval()
         outputs: list[np.ndarray] = []
@@ -193,7 +200,6 @@ class Trainer:
                 batch_mask = mask[start:stop] if mask is not None else None
                 logits = self.model(ids[start:stop], mask=batch_mask)
                 outputs.append(logits.data.copy())
-        self.model.train()
         return np.concatenate(outputs, axis=0)
 
 

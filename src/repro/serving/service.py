@@ -24,11 +24,22 @@ three paths:
 The service keeps per-model request counters and service-wide hit/latency
 counters (:meth:`~PredictionService.stats`).
 
-Determinism note: predicted *labels* and cached results are stable, but
-probability vectors can differ from a full-batch reference in the last ulp
-when micro-batching changes the batch composition — sparse matrix products
-sum in a batch-shape-dependent order.  Compare probabilities across batch
-compositions with ``np.allclose``, not bitwise.
+Determinism note: whether a request's probability vector depends on the
+batch it lands in (which natural batching makes a function of concurrent
+load) differs by model family.
+
+* Statistical models (logreg, Naive Bayes, linear SVM, random forest): no.
+  ``TfidfVectorizer.transform`` weights each row on its own, so a lone
+  request gets exactly the bytes of its row in any batch.
+* Transformers (BERT, RoBERTa): in the last ulp.  The encoder rows are
+  equal, but the pooler's ``(batch, dim)`` GEMM over the ``[CLS]`` rows
+  runs a different BLAS kernel for a single row than for several.
+* LSTM: in the last ulp.  The recurrent ``(batch, hidden)`` GEMMs of every
+  time step differ the same way.
+
+Labels and cached results are stable for every family.  Compare transformer
+and LSTM probabilities across batch compositions with ``np.allclose``, not
+bitwise.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Sequential
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
+from tests.nn.test_tensor import check_gradient
+
 
 class _TwoLayer(Module):
     def __init__(self):
@@ -97,6 +99,27 @@ class TestLinear:
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             Linear(0, 3)
+
+    def test_three_dimensional_input_matches_per_slice_product(self):
+        layer = Linear(4, 5, seed=3)
+        x = np.random.default_rng(4).normal(size=(2, 3, 4))
+        out = layer(Tensor(x))
+        assert out.shape == (2, 3, 5)
+        for i in range(2):
+            expected = x[i] @ layer.weight.data + layer.bias.data
+            assert np.allclose(out.data[i], expected)
+
+    def test_three_dimensional_input_gradient(self):
+        layer = Linear(4, 5, seed=3)
+        weights = Tensor(np.random.default_rng(5).normal(size=(2, 3, 5)))
+        check_gradient(lambda p: (layer(p) * weights).sum(), (2, 3, 4))
+        layer.zero_grad()
+        x = Parameter(np.random.default_rng(6).normal(size=(2, 3, 4)))
+        (layer(x) * weights).sum().backward()
+        expected_bias = weights.data.sum(axis=(0, 1))
+        assert np.allclose(layer.bias.grad, expected_bias)
+        expected_weight = sum(x.data[i].T @ weights.data[i] for i in range(2))
+        assert np.allclose(layer.weight.grad, expected_weight)
 
 
 class TestEmbedding:

@@ -135,6 +135,28 @@ class TestNonlinearities:
         probabilities = Tensor(rng.normal(size=(5, 7))).softmax(axis=-1)
         assert np.allclose(probabilities.data.sum(axis=1), 1.0)
 
+    def test_gelu_matches_reference_tanh_formula(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[0.0, -10.0, 10.0], rng.uniform(-10.0, 10.0, size=997)])
+        c = np.sqrt(2.0 / np.pi)
+        reference = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * np.power(x, 3))))
+        out = Tensor(x).gelu().data
+        assert out[0] == 0.0
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_softmax_byte_equal_to_three_temporary_reference(self, axis):
+        rng = np.random.default_rng(12)
+        x = rng.normal(scale=4.0, size=(6, 9))
+        x[2, 5:] = -1e9  # masked entries, as attention writes them
+        original = x.copy()
+        shifted = x - x.max(axis=axis, keepdims=True)
+        exp = np.exp(shifted)
+        reference = exp / exp.sum(axis=axis, keepdims=True)
+        out = Tensor(x).softmax(axis=axis).data
+        assert out.tobytes() == reference.tobytes()
+        assert x.tobytes() == original.tobytes()
+
     def test_masked_fill(self):
         a = Parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
         mask = np.array([[True, False], [False, True]])

@@ -1,5 +1,8 @@
 """Tests for the supervised Trainer."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.nn.module import Module
 from repro.nn.optim import Adam
 from repro.nn.trainer import Trainer, TrainerConfig, TrainingHistory
 from repro.nn.tensor import Tensor
+from repro.nn.transformer import TransformerConfig, TransformerForSequenceClassification
 
 
 class _BagClassifier(Module):
@@ -109,6 +113,61 @@ class TestTrainerEvaluate:
         loss, accuracy = trainer.evaluate(ids, mask, labels)
         assert np.isfinite(loss)
         assert 0.0 <= accuracy <= 1.0
+
+
+def _fitted_transformer_trainer():
+    ids, mask, labels = _toy_classification_data(n=48, length=10)
+    config = TransformerConfig(
+        vocab_size=30, max_length=10, dim=16, num_heads=2, num_layers=1, ffn_dim=32,
+        dropout=0.3,
+    )
+    model = TransformerForSequenceClassification(config, num_classes=3)
+    trainer = Trainer(
+        model, Adam(model.parameters(), lr=1e-2), config=TrainerConfig(epochs=1, batch_size=16)
+    )
+    trainer.fit(ids, mask, labels)
+    return trainer, ids, mask
+
+
+class TestConcurrentPrediction:
+    def test_predict_logits_leaves_every_module_in_eval_mode(self):
+        trainer, ids, mask = _fitted_transformer_trainer()
+        trainer.predict_logits(ids, mask)
+        assert not any(module.training for module in trainer.model.modules())
+
+    def test_fit_after_predict_trains_with_dropout(self):
+        trainer, ids, mask = _fitted_transformer_trainer()
+        trainer.predict_logits(ids, mask)
+        trainer.fit(ids, mask, np.zeros(len(ids), dtype=np.int64))
+        assert all(module.training for module in trainer.model.modules())
+
+    def test_concurrent_predictions_byte_equal_to_sequential(self):
+        trainer, ids, mask = _fitted_transformer_trainer()
+        expected = trainer.predict_logits(ids, mask).tobytes()
+        n_threads, rounds = 3, 25
+        results: list[list[bytes]] = [[] for _ in range(n_threads)]
+        start = threading.Barrier(n_threads)
+
+        def worker(slot: int) -> None:
+            start.wait()
+            for _ in range(rounds):
+                results[slot].append(trainer.predict_logits(ids, mask).tobytes())
+
+        # A short switch interval interleaves the forward passes often.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        for outputs in results:
+            assert len(outputs) == rounds
+            assert all(output == expected for output in outputs)
 
 
 class TestTrainingHistory:

@@ -159,72 +159,10 @@ class ModelGateway:
         key: str | None = None,
         version: str | None = None,
     ) -> np.ndarray:
-        """Probability vector over the route's label space for one request.
-
-        Args:
-            route: Route name.
-            sequence: Raw recipe item sequence.
-            key: Request key driving split/canary assignment; defaults to a
-                content-derived key (identical sequences → identical
-                variants, across processes).
-            version: Bypass the policy and pin a specific deployed version
-                (debugging / offline comparison).
-        """
-        start = time.perf_counter()
-        validated = self._validated(sequence)
-        snapshot = self.registry.route_snapshot(route)
-        metrics = snapshot.metrics
-        if version is not None:
-            decision = RoutingDecision(primary=version)
-        else:
-            request_key = key if key is not None else derive_request_key(validated)
-            decision = snapshot.policy.decide(request_key, snapshot.view)
-        trace = current_trace()
-        route_span = None
-        if trace is not None:
-            # The routing decision rides on the span: which policy fired,
-            # whether the caller pinned a version, and (below) the variant
-            # the request actually resolved to.
-            attrs = {
-                "route": route,
-                "policy": snapshot.policy.describe().get("kind", "active"),
-                "shadows": len(decision.shadows),
-                "ensemble": bool(decision.ensemble),
-            }
-            if version is not None:
-                attrs["pinned"] = version
-            route_span = trace.start_span("gateway.route", attrs=attrs)
-        try:
-            with activate(trace, route_span.span_id if route_span else None):
-                if decision.ensemble:
-                    matrix, variant = self._predict_ensemble(
-                        snapshot, decision.ensemble, [validated]
-                    )
-                    result = matrix[0]
-                else:
-                    deployment = snapshot.deployment(decision.primary)
-                    variant = deployment.version
-                    row = self.service.predict_proba(deployment.service_name, validated)
-                    result = self._aligned(
-                        row[np.newaxis, :], deployment, snapshot.label_space
-                    )[0]
-            if route_span is not None:
-                route_span.attrs["variant"] = variant
-        except BaseException:
-            if trace is not None:
-                trace.error = True
-                route_span.attrs["error"] = True
-            metrics.record_error()
-            raise
-        finally:
-            if trace is not None:
-                trace.end_span(route_span)
-        metrics.record_request(variant, time.perf_counter() - start)
-        if decision.shadows:
-            self._mirror(
-                snapshot, decision.shadows, [validated], result[np.newaxis, :], variant
-            )
-        return result
+        """Probability vector over the route's label space for one request
+        (a batch of one; see :meth:`predict_proba_batch`)."""
+        keys = [key] if key is not None else None
+        return self.predict_proba_batch(route, [sequence], keys=keys, version=version)[0]
 
     def predict(
         self,
@@ -235,9 +173,8 @@ class ModelGateway:
         version: str | None = None,
     ) -> str:
         """Predicted cuisine name (in the route's label space)."""
-        probabilities = self.predict_proba(route, sequence, key=key, version=version)
-        route_space = self.registry.label_space(route)
-        return route_space[int(np.argmax(probabilities))]
+        keys = [key] if key is not None else None
+        return self.predict_batch(route, [sequence], keys=keys, version=version)[0]
 
     def predict_proba_batch(
         self,
@@ -249,7 +186,17 @@ class ModelGateway:
     ) -> np.ndarray:
         """Probability matrix for a batch, each request routed by its own key.
 
-        Requests landing on the same variant share one model pass; shadow
+        Args:
+            route: Route name.
+            sequences: Raw recipe item sequences.
+            keys: One request key per sequence, driving split/canary
+                assignment; by default each key is derived from its sequence's
+                content (identical sequences → identical variants, across
+                processes).
+            version: Bypass the policy and pin a specific deployed version
+                (debugging / offline comparison).
+
+        Requests landing on the same variant share one service call; shadow
         mirrors are likewise batched per shadow version.
         """
         start = time.perf_counter()
@@ -286,10 +233,14 @@ class ModelGateway:
         trace = current_trace()
         route_span = None
         if trace is not None:
+            # The routing decision rides on the span: which policy fired,
+            # whether the caller pinned a version, how many mirrors it
+            # queued, and (below) the variants the requests resolved to.
             attrs = {
                 "route": route,
                 "policy": snapshot.policy.describe().get("kind", "active"),
                 "batch": len(validated),
+                "shadows": sum(len(indices) for indices in shadow_groups.values()),
             }
             if version is not None:
                 attrs["pinned"] = version
@@ -326,7 +277,7 @@ class ModelGateway:
         for (shadow, primary_variant), indices in shadow_groups.items():
             self._mirror(
                 snapshot,
-                (shadow,),
+                shadow,
                 [validated[i] for i in indices],
                 results[indices],
                 primary_variant,
@@ -379,33 +330,31 @@ class ModelGateway:
     def _mirror(
         self,
         snapshot: RouteSnapshot,
-        shadows: tuple[str, ...],
+        shadow: str,
         sequences: Sequence[tuple[str, ...]],
         primary_probabilities: np.ndarray,
         primary_version: str,
     ) -> None:
-        """Queue shadow predictions; the caller's response is already final."""
-        primary_labels = primary_probabilities.argmax(axis=1).copy()
-        for shadow in shadows:
-            if self._closed:
-                break
-            try:
-                future = self._shadow_pool.submit(
-                    self._run_shadow,
-                    snapshot,
-                    shadow,
-                    list(sequences),
-                    primary_labels,
-                    primary_version,
-                )
-            except RuntimeError:
-                # close() shut the executor down between the flag check and
-                # the submit; mirrors are best-effort — the caller already
-                # has its (successful) primary response.
-                break
-            with self._shadow_lock:
-                self._shadow_futures.add(future)
-            future.add_done_callback(self._discard_shadow_future)
+        """Queue a shadow prediction; the caller's response is already final."""
+        if self._closed:
+            return
+        try:
+            future = self._shadow_pool.submit(
+                self._run_shadow,
+                snapshot,
+                shadow,
+                list(sequences),
+                primary_probabilities.argmax(axis=1),
+                primary_version,
+            )
+        except RuntimeError:
+            # close() shut the executor down between the flag check and the
+            # submit; mirrors are best-effort — the caller already has its
+            # (successful) primary response.
+            return
+        with self._shadow_lock:
+            self._shadow_futures.add(future)
+        future.add_done_callback(self._discard_shadow_future)
 
     def _discard_shadow_future(self, future) -> None:
         with self._shadow_lock:
@@ -424,7 +373,11 @@ class ModelGateway:
             # Resolved from the request's snapshot: the mirror is pinned to
             # the deployment table its primary saw, like any other request.
             deployment = snapshot.deployment(shadow)
-            matrix = self.service.predict_proba_batch(deployment.service_name, sequences)
+            # Inline: the mirror's model pass runs on this shadow thread, so
+            # it never queues on the batch worker ahead of primary traffic.
+            matrix = self.service.predict_proba_batch(
+                deployment.service_name, sequences, inline=True
+            )
             shadow_labels = self._aligned(
                 matrix, deployment, snapshot.label_space
             ).argmax(axis=1)

@@ -198,13 +198,9 @@ class RouteMetrics:
         self.counters = CounterSet()
         self.latency = Histogram()
 
-    def record_request(self, version: str, seconds: float, count: int = 1) -> None:
-        self.counters.increment("requests", count)
-        self.counters.increment(f"variant:{version}", count)
-        self.latency.record(seconds, count=count)
-
     def record_batch(self, variant_counts: Mapping[str, int], seconds: float) -> None:
-        """One batched request: per-variant counts, one latency observation."""
+        """One request of N >= 1 sequences: per-variant counts, one latency
+        observation."""
         total = sum(variant_counts.values())
         self.counters.increment("requests", total)
         for version, count in variant_counts.items():

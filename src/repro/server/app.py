@@ -5,8 +5,9 @@
 * ``POST /routes/<route>/predict`` — single (``{"sequence": [...]}``) or
   batched (``{"sequences": [[...], ...]}``) prediction with optional
   per-request routing ``key``/``keys`` and version pinning, strict
-  named-field validation (400s carry the offending field, never a
-  traceback);
+  named-field validation (a malformed or unknown field gets a 400 naming
+  it, never a traceback).  A single body is served as a batch of one;
+  only the response shape differs;
 * ``GET /healthz`` — the gateway's ``health_snapshot()`` plus server-level
   counters, as JSON;
 * ``GET /metrics`` — the same state flattened to the text exposition format
@@ -44,8 +45,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping
-
-import numpy as np
 
 from repro.eval.canary import evaluate_route
 from repro.eval.golden import load_golden_set
@@ -592,7 +591,19 @@ class ModelServer:
             )
         return value
 
+    #: Body fields each kind of predict request accepts.
+    _PREDICT_FIELDS = {
+        "sequence": frozenset({"sequence", "key", "version"}),
+        "sequences": frozenset({"sequences", "keys", "version"}),
+    }
+
     def _parse_predict(self, request: HTTPRequest) -> dict:
+        """Validate a predict body and normalize it to a batch.
+
+        A single body (``sequence``/``key``) becomes a batch of one
+        (``sequences``/``keys``) with ``single`` set; ``single`` only picks
+        the response shape and the root span's attributes.
+        """
         payload = request.json()
         if not isinstance(payload, dict):
             raise HTTPError(
@@ -600,18 +611,29 @@ class ModelServer:
                 f"request body must be a JSON object, got {type(payload).__name__}",
                 field="body",
             )
-        has_single = "sequence" in payload
-        has_batch = "sequences" in payload
-        if has_single == has_batch:
+        single = "sequence" in payload
+        if single == ("sequences" in payload):
             raise HTTPError(
                 400, "bad_body",
                 "request body must contain exactly one of 'sequence' or 'sequences'",
                 field="sequence",
             )
-        parsed: dict = {"version": self._optional_string(payload, "version")}
-        if has_single:
-            parsed["sequence"] = self._string_items(payload["sequence"], "sequence")
-            parsed["key"] = self._optional_string(payload, "key")
+        allowed = self._PREDICT_FIELDS["sequence" if single else "sequences"]
+        unknown = sorted(set(payload) - allowed)
+        if unknown:
+            raise HTTPError(
+                400, "bad_field",
+                f"unknown field {unknown[0]!r}; this body allows {sorted(allowed)}",
+                field=unknown[0],
+            )
+        parsed: dict = {
+            "single": single,
+            "version": self._optional_string(payload, "version"),
+        }
+        if single:
+            parsed["sequences"] = [self._string_items(payload["sequence"], "sequence")]
+            key = self._optional_string(payload, "key")
+            parsed["keys"] = [key] if key is not None else None
             return parsed
         sequences = payload["sequences"]
         if not isinstance(sequences, list):
@@ -658,11 +680,8 @@ class ModelServer:
         """
         if not self.tracer.enabled:
             return None, None
-        if "sequence" in parsed:
-            key = parsed["key"] or derive_request_key(parsed["sequence"])
-        else:
-            keys = parsed["keys"]
-            key = keys[0] if keys else derive_request_key(parsed["sequences"][0])
+        keys = parsed["keys"]
+        key = keys[0] if keys else derive_request_key(parsed["sequences"][0])
         trace = None
         parent_id = None
         header = request.headers.get(TRACE_HEADER.lower())
@@ -676,10 +695,10 @@ class ModelServer:
         attrs: dict = {"route": route}
         if self.worker_id is not None:
             attrs["worker_id"] = self.worker_id
-        if "sequence" in parsed:
+        if parsed["single"]:
             # The original payload rides on the root span so an exported
             # trace can be replayed as a loadgen workload.
-            attrs["sequence"] = list(parsed["sequence"])
+            attrs["sequence"] = list(parsed["sequences"][0])
         else:
             attrs["batch"] = len(parsed["sequences"])
         root = trace.start_span("server.request", parent=parent_id, attrs=attrs)
@@ -715,25 +734,15 @@ class ModelServer:
             )
         self._inflight += 1
         start = time.perf_counter()
+        count = len(parsed["sequences"])
         try:
-            if "sequence" in parsed:
-                call = functools.partial(
-                    self.gateway.predict_proba,
-                    route,
-                    parsed["sequence"],
-                    key=parsed["key"],
-                    version=parsed["version"],
-                )
-                count = 1
-            else:
-                call = functools.partial(
-                    self.gateway.predict_proba_batch,
-                    route,
-                    parsed["sequences"],
-                    keys=parsed["keys"],
-                    version=parsed["version"],
-                )
-                count = len(parsed["sequences"])
+            call = functools.partial(
+                self.gateway.predict_proba_batch,
+                route,
+                parsed["sequences"],
+                keys=parsed["keys"],
+                version=parsed["version"],
+            )
             try:
                 # run_in_executor does not carry contextvars into the pool
                 # thread, so the active trace is handed across explicitly.
@@ -760,20 +769,16 @@ class ModelServer:
         self.counters.increment("predict_requests")
         self.counters.increment("predict_sequences", count)
         self.latency.record(time.perf_counter() - start, count=count)
-        if "sequence" in parsed:
-            payload = {
-                "route": route,
-                "label": label_space[int(np.argmax(probabilities))],
-                "probabilities": [float(p) for p in probabilities],
-            }
-        else:
-            payload = {
-                "route": route,
-                "count": count,
-                "labels": [label_space[int(i)] for i in probabilities.argmax(axis=1)],
-                "probabilities": [[float(p) for p in row] for row in probabilities],
-            }
-        return 200, payload
+        labels = [label_space[int(i)] for i in probabilities.argmax(axis=1)]
+        rows = [[float(p) for p in row] for row in probabilities]
+        if parsed["single"]:
+            return 200, {"route": route, "label": labels[0], "probabilities": rows[0]}
+        return 200, {
+            "route": route,
+            "count": count,
+            "labels": labels,
+            "probabilities": rows,
+        }
 
     # ------------------------------------------------------------------
     # admin control plane

@@ -3,23 +3,21 @@
 :class:`PredictionService` is the inference-side counterpart of the
 experiment runner: it holds any number of fitted models (typically restored
 from bundles), featurizes raw recipe item sequences through one shared, warm
-:class:`~repro.pipeline.store.FeatureStore`, and serves predictions through
-three paths:
+:class:`~repro.pipeline.store.FeatureStore`, and serves every prediction
+through one path, :meth:`~PredictionService.predict_proba_batch`; a single
+request (:meth:`~PredictionService.predict_proba`) is a batch of one.
 
-* :meth:`~PredictionService.predict` / :meth:`~PredictionService.predict_proba`
-  — single requests.  Concurrent callers are **naturally batched**: requests
-  enter a bounded queue and a worker thread flushes them as one model pass.
-  The worker never waits for a batch to fill: it takes the first request as
-  soon as it arrives, plus whatever queued while the previous pass ran (up
-  to ``max_batch_size``).  A lone request on an idle service is a batch of
-  one; under load the queue fills on its own.
-* :meth:`~PredictionService.predict_batch` /
-  :meth:`~PredictionService.predict_proba_batch` — explicit batches,
-  featurized and predicted in one pass.
-* An **LRU result cache** short-circuits repeated inputs on every path, and
+* An **LRU result cache** short-circuits repeated sequences, and
   **single-flight coalescing** covers the window the cache cannot: N
-  concurrent identical requests trigger one featurize+predict, every waiter
-  shares the (copied) result.
+  concurrent requests for one sequence trigger one featurize+predict, every
+  waiter shares the (copied) result.  A request's repeated sequences are
+  deduplicated first, so it never waits on its own flight.
+* The remaining misses of one call enter a bounded queue as **one unit**,
+  and a worker thread flushes queued units as one model pass.  Concurrent
+  callers are **naturally batched**: the worker never waits for a batch to
+  fill; it takes the first unit as soon as it arrives, plus whatever queued
+  while the previous pass ran, up to ``max_batch_size`` sequences.  It
+  never splits a unit, so a unit longer than that is a flush of its own.
 
 The service keeps per-model request counters and service-wide hit/latency
 counters (:meth:`~PredictionService.stats`).
@@ -60,7 +58,7 @@ from repro.pipeline.engine import CorpusEngine
 from repro.pipeline.fingerprint import sequence_key
 from repro.pipeline.store import FeatureStore, _save_json
 from repro.serving.bundle import ModelBundle, load_bundles
-from repro.serving.cache import ShardedResultCache
+from repro.serving.cache import InFlight, ShardedResultCache
 from repro.serving.featurizer import BatchFeaturizer
 from repro.trace import current_span_id, current_trace
 
@@ -73,19 +71,20 @@ _TIMED_STAGES = ("queue_wait", "featurize", "predict")
 
 @dataclass
 class _Request:
-    """One queued single-prediction request.
+    """One queued unit: the distinct sequences one call must compute.
 
-    The request carries the resolved model object and its cache epoch, so it
-    is **pinned** at submission time: a concurrent hot-swap or removal of the
-    name cannot change (or break) what this request predicts against, and
-    its result is never cached for the successor model.
+    The unit carries the resolved model object and its cache epoch, so it is
+    **pinned** at submission time: a concurrent hot-swap or removal of the
+    name cannot change (or break) what this unit predicts against, and its
+    rows are never cached for the successor model.
     """
 
     model_name: str
-    sequence: tuple[str, ...]
+    sequences: list[tuple[str, ...]]
     model: CuisineModel
     epoch: int
     done: threading.Event = field(default_factory=threading.Event)
+    #: One probability row per sequence, in order.
     result: np.ndarray | None = None
     error: BaseException | None = None
     # ``time.perf_counter()`` stamps: the caller sets ``submitted``, the
@@ -96,6 +95,7 @@ class _Request:
     started: float = 0.0
     featurized: float = 0.0
     predicted: float = 0.0
+    #: Sequences in the flush that ran this unit.
     batch_size: int = 0
 
 
@@ -111,10 +111,11 @@ class PredictionService:
             one over a shared/cache-dir-backed store) so inference reuses
             the exact per-shard artifacts training produced; by default an
             in-process engine over *store* is created.
-        max_batch_size: Most requests one flush takes from the queue.  The
-            worker flushes as soon as a request arrives, with whatever else
-            is already queued; it never waits for more.
-        coalesce: Single-flight coalescing of identical concurrent requests
+        max_batch_size: Most sequences one flush takes from the queue.  The
+            worker flushes as soon as a unit arrives, with whatever else is
+            already queued; it never waits for more, and never splits a
+            unit.
+        coalesce: Single-flight coalescing of identical concurrent sequences
             (default on): the first request for a ``(model, sequence)`` key
             computes, concurrent duplicates wait on it and share a copy of
             the result — one model pass instead of N.  Hot-swaps mid-flight
@@ -127,8 +128,8 @@ class PredictionService:
             traffic does not serialize on one lock.
         queue_size: Bound on the request queue; when full, callers block
             until the worker drains it (backpressure).
-        request_timeout: Seconds a single predict call waits for its batched
-            result before raising ``TimeoutError``.
+        request_timeout: Seconds a predict call waits for its unit, or for a
+            flight it follows, before raising ``TimeoutError``.
     """
 
     def __init__(
@@ -232,10 +233,10 @@ class PredictionService:
     def remove_model(self, name: str) -> CuisineModel:
         """Unregister *name*, dropping its cached results.
 
-        In-flight requests already pinned to the model (queued micro-batch
-        entries, running batch predicts) complete normally against the model
-        object they captured; their results are not cached (the epoch bump),
-        and *new* requests for the name fail with ``KeyError``.
+        In-flight requests already pinned to the model (queued or running
+        units) complete normally against the model object they captured;
+        their results are not cached (the epoch bump), and *new* requests
+        for the name fail with ``KeyError``.
         """
         model = self._require_model(name)
         del self._models[name]
@@ -264,10 +265,10 @@ class PredictionService:
         config), so the heavy pure-Python preprocessing runs once per
         distinct sequence — independent of batch composition, of which model
         asks (models sharing a pipeline config share the artifacts), and of
-        whether the request came through :meth:`warm`, the micro-batch
-        worker or an explicit batch.  Cold sequences of a batch are computed
-        together by the :class:`BatchFeaturizer` (one pass, shared item
-        memo) — bitwise-identical to the sequential per-sequence path.
+        whether the request came through :meth:`warm` or the batch worker.
+        Cold sequences of a batch are computed together by the
+        :class:`BatchFeaturizer` (one pass, shared item memo) —
+        bitwise-identical to the sequential per-sequence path.
         """
         config = model.feature_spec().pipeline
         return self._featurizer.batch_tokens(sequences, config, store=self.store)
@@ -334,9 +335,6 @@ class PredictionService:
     # ------------------------------------------------------------------
     # result cache
     # ------------------------------------------------------------------
-    def _cache_get(self, model_name: str, sequence: tuple[str, ...]) -> np.ndarray | None:
-        return self._result_cache.get(model_name, sequence)
-
     def _model_epoch(self, model_name: str) -> int:
         return self._result_cache.epoch(model_name)
 
@@ -352,7 +350,7 @@ class PredictionService:
         self._result_cache.put(model_name, sequence, value, epoch=epoch)
 
     # ------------------------------------------------------------------
-    # micro-batching worker
+    # batch worker
     # ------------------------------------------------------------------
     def _ensure_worker(self) -> None:
         if self._worker is not None and self._worker.is_alive():
@@ -369,9 +367,11 @@ class PredictionService:
 
     def _worker_loop(self) -> None:
         # The loop exits only on the close() sentinel, after draining every
-        # request queued before it — shutdown never drops accepted work.
+        # unit queued before it — shutdown never drops accepted work.
+        held = None  # a unit that did not fit the previous flush
         while True:
-            first = self._queue.get()
+            first = held if held is not None else self._queue.get()
+            held = None
             if first is _SHUTDOWN:
                 return
             # Natural batching: flush now, with whatever queued while the
@@ -379,8 +379,9 @@ class PredictionService:
             # batch to fill, so a lone request pays no batching delay.
             depth = self._queue.qsize()
             batch = [first]
+            rows = len(first.sequences)
             sentinel_seen = False
-            while len(batch) < self.max_batch_size:
+            while rows < self.max_batch_size:
                 try:
                     item = self._queue.get_nowait()
                 except queue.Empty:
@@ -388,43 +389,72 @@ class PredictionService:
                 if item is _SHUTDOWN:
                     sentinel_seen = True
                     break
+                if rows + len(item.sequences) > self.max_batch_size:
+                    held = item  # units are never split: it leads the next flush
+                    break
                 batch.append(item)
+                rows += len(item.sequences)
             self._stages["queue_depth"].record(depth)
-            self._stages["batch_size"].record(len(batch))
             self._process_batch(batch)
             if sentinel_seen:
                 return
 
     def _process_batch(self, batch: list[_Request]) -> None:
-        # Group by the *pinned* model object (not just the name): requests
+        # Group by the *pinned* model object (not just the name): units
         # queued across a hot-swap of the same name predict against the
         # model each of them started on.
         groups: dict[tuple[str, int], list[_Request]] = {}
+        rows = sum(len(request.sequences) for request in batch)
         drained = time.perf_counter()
         for request in batch:
             request.drained = drained
-            request.batch_size = len(batch)
-            self._stages["queue_wait"].record(drained - request.submitted)
+            request.batch_size = rows
+            self._stages["queue_wait"].record(
+                drained - request.submitted, count=len(request.sequences)
+            )
             groups.setdefault((request.model_name, id(request.model)), []).append(request)
+        self._stages["batch_size"].record(rows)
         self._counters.increment("batches_flushed")
-        self._counters.increment("batched_requests", len(batch))
+        self._counters.increment("batched_requests", rows)
         with self._stats_lock:
-            self._largest_batch = max(self._largest_batch, len(batch))
+            self._largest_batch = max(self._largest_batch, rows)
         for (model_name, _), requests in groups.items():
             try:
                 probabilities, stamps = self._predict_group(
-                    requests[0].model, [request.sequence for request in requests]
+                    requests[0].model,
+                    [sequence for request in requests for sequence in request.sequences],
                 )
             except BaseException as exc:  # surfaced to every waiting caller
                 for request in requests:
                     request.error = exc
                     request.done.set()
                 continue
-            for request, row in zip(requests, probabilities):
+            offset = 0
+            for request in requests:
+                request.result = probabilities[offset : offset + len(request.sequences)]
+                offset += len(request.sequences)
+                for sequence, row in zip(request.sequences, request.result):
+                    self._cache_put(model_name, sequence, row, epoch=request.epoch)
                 request.started, request.featurized, request.predicted = stamps
-                self._cache_put(model_name, request.sequence, row, epoch=request.epoch)
-                request.result = row
                 request.done.set()
+
+    def _run_unit(self, unit: _Request, inline: bool) -> None:
+        """Queue *unit* for the worker (or run it here) and wait for its rows."""
+        unit.submitted = time.perf_counter()
+        if inline:
+            self._process_batch([unit])
+        else:
+            with self._submit_lock:
+                self._ensure_open()  # re-checked: no submission after the sentinel
+                self._ensure_worker()
+                self._queue.put(unit)
+            if not unit.done.wait(timeout=self.request_timeout):
+                raise TimeoutError(
+                    f"prediction for model {unit.model_name!r} timed out after "
+                    f"{self.request_timeout}s"
+                )
+        if unit.error is not None:
+            raise unit.error
 
     # ------------------------------------------------------------------
     # the serving API
@@ -443,13 +473,33 @@ class PredictionService:
             )
 
     def predict_proba(self, model_name: str, sequence: Iterable[str]) -> np.ndarray:
-        """Class-probability vector for one raw recipe item sequence.
+        """Class-probability vector for one raw recipe item sequence (a batch
+        of one; see :meth:`predict_proba_batch`)."""
+        return self.predict_proba_batch(model_name, [sequence])[0]
 
-        Cache hits return immediately; identical concurrent misses coalesce
-        into one single-flight computation (when ``coalesce`` is on); the
-        remaining misses are micro-batched with any concurrent requests
-        before running the model.  After :meth:`close`, new submissions are
-        rejected with ``RuntimeError``.
+    def predict(self, model_name: str, sequence: Iterable[str]) -> str:
+        """Predicted cuisine name for one raw recipe item sequence."""
+        return self.predict_batch(model_name, [sequence])[0]
+
+    def predict_proba_batch(
+        self,
+        model_name: str,
+        sequences: Sequence[Iterable[str]],
+        *,
+        inline: bool = False,
+    ) -> np.ndarray:
+        """Class-probability matrix for a batch of raw sequences.
+
+        Each distinct sequence is a cache hit, a follower of an identical
+        sequence some other call is computing (when ``coalesce`` is on), or
+        a miss.  The misses go to the batch worker as one unit, which may
+        share its model pass with concurrent units.  After :meth:`close`,
+        new submissions are rejected with ``RuntimeError``.
+
+        Args:
+            inline: Run the misses' model pass on the calling thread instead
+                of the batch worker.  Shadow mirrors use it, so mirrored
+                traffic never queues ahead of primary requests.
         """
         self._ensure_open()
         # Epoch before model: if a swap lands between the two reads, the
@@ -458,171 +508,82 @@ class PredictionService:
         # epoch.
         epoch = self._model_epoch(model_name)
         model = self._require_model(model_name)
-        validated = self._validated(sequence)
-        start = time.perf_counter()
-        self._counters.increment(f"requests:{model_name}")
-        while True:
-            cached = self._cache_get(model_name, validated)
-            if cached is not None:
-                self._counters.increment("cache_hits")
-                self._record_latency(
-                    start, span="service.cache_hit", attrs={"model": model_name}
-                )
-                return cached
-            if not self.coalesce:
-                self._counters.increment("cache_misses")
-                return self._submit_and_wait(model_name, validated, model, epoch, start)
-            flight, is_leader = self._result_cache.join_flight(
-                model_name, validated, epoch
-            )
-            if is_leader:
-                self._counters.increment("cache_misses")
-                try:
-                    result = self._submit_and_wait(
-                        model_name, validated, model, epoch, start
-                    )
-                except BaseException as exc:
-                    # Followers share the leader's fate — never hang them.
-                    self._result_cache.finish_flight(
-                        model_name, validated, flight, error=exc
-                    )
-                    raise
-                self._result_cache.finish_flight(
-                    model_name, validated, flight, value=result
-                )
-                return result
-            # Follower: wait for the leader's computation instead of
-            # enqueueing a duplicate.
-            if not flight.event.wait(timeout=self.request_timeout):
-                raise TimeoutError(
-                    f"prediction for model {model_name!r} timed out after "
-                    f"{self.request_timeout}s (coalesced)"
-                )
-            if flight.epoch != self._model_epoch(model_name):
-                # A hot-swap landed mid-flight: the leader computed against
-                # the retired model version.  The leader's own caller keeps
-                # its pinned result (historical semantics); waiters retry
-                # against the current model.
-                self._counters.increment("coalesced_stale")
-                epoch = self._model_epoch(model_name)
-                model = self._require_model(model_name)
-                continue
-            if flight.error is not None:
-                raise flight.error
-            self._counters.increment("coalesced_hits")
-            self._record_latency(
-                start, span="service.coalesced_follower", attrs={"model": model_name}
-            )
-            assert flight.value is not None
-            return flight.value.copy()
-
-    def _submit_and_wait(
-        self,
-        model_name: str,
-        validated: tuple[str, ...],
-        model: CuisineModel,
-        epoch: int,
-        start: float,
-    ) -> np.ndarray:
-        """Enqueue one micro-batch request and wait for its result."""
-        request = _Request(
-            model_name=model_name,
-            sequence=validated,
-            model=model,
-            epoch=epoch,
-            submitted=time.perf_counter(),
-        )
-        with self._submit_lock:
-            self._ensure_open()  # re-checked: no submission after the sentinel
-            self._ensure_worker()
-            self._queue.put(request)
-        if not request.done.wait(timeout=self.request_timeout):
-            raise TimeoutError(
-                f"prediction for model {model_name!r} timed out after "
-                f"{self.request_timeout}s"
-            )
-        if request.error is not None:
-            raise request.error
-        self._record_latency(start)
-        trace = current_trace()
-        if trace is not None:
-            # The batch thread knows nothing about traces (one pass serves
-            # many callers); the waiting caller lays out its own request's
-            # stages from the stamps the batch thread left on it.
-            batch = trace.add_stamped_span(
-                "service.batch",
-                request.submitted,
-                request.predicted,
-                parent=current_span_id(),
-                attrs={"model": request.model_name, "batch_size": request.batch_size},
-            )
-            for name, begin, end in (
-                ("service.queue_wait", request.submitted, request.drained),
-                ("service.featurize", request.started, request.featurized),
-                ("service.predict", request.featurized, request.predicted),
-            ):
-                trace.add_stamped_span(name, begin, end, parent=batch.span_id)
-        assert request.result is not None
-        return request.result
-
-    def predict(self, model_name: str, sequence: Iterable[str]) -> str:
-        """Predicted cuisine name for one raw recipe item sequence."""
-        model = self._require_model(model_name)
-        probabilities = self.predict_proba(model_name, sequence)
-        return model.label_space[int(np.argmax(probabilities))]
-
-    def predict_proba_batch(
-        self, model_name: str, sequences: Sequence[Iterable[str]]
-    ) -> np.ndarray:
-        """Class-probability matrix for a batch of raw sequences.
-
-        The whole batch is featurized and predicted in one model pass
-        (cache hits are served from the LRU and excluded from the pass).
-        """
-        self._ensure_open()
-        epoch = self._model_epoch(model_name)  # before the model; see predict_proba
-        model = self._require_model(model_name)
         validated = [self._validated(sequence) for sequence in sequences]
         if not validated:
             return np.zeros((0, model.n_classes))
         start = time.perf_counter()
         self._counters.increment(f"requests:{model_name}", len(validated))
-        rows: dict[int, np.ndarray] = {}
-        pending: list[tuple[int, tuple[str, ...]]] = []
-        for index, sequence in enumerate(validated):
-            cached = self._cache_get(model_name, sequence)
-            if cached is not None:
-                rows[index] = cached
-            else:
-                pending.append((index, sequence))
-        self._counters.increment("cache_hits", len(validated) - len(pending))
-        self._counters.increment("cache_misses", len(pending))
-        if pending:
-            probabilities, (started, featurized, predicted) = self._predict_group(
-                model, [sequence for _, sequence in pending]
-            )
-            for (index, sequence), row in zip(pending, probabilities):
-                self._cache_put(model_name, sequence, row, epoch=epoch)
-                rows[index] = row
-            trace = current_trace()
-            if trace is not None:
-                attrs = {"sequences": len(pending)}
-                for name, begin, end in (
-                    ("service.featurize", started, featurized),
-                    ("service.predict", featurized, predicted),
-                ):
-                    trace.add_stamped_span(
-                        name, begin, end, parent=current_span_id(), attrs=attrs
+        rows: dict[tuple[str, ...], np.ndarray] = {}
+        units: list[_Request] = []
+        followed = False
+        pending = list(dict.fromkeys(validated))  # never wait on our own flight
+        while pending:
+            leaders: dict[tuple[str, ...], InFlight | None] = {}
+            followers: dict[tuple[str, ...], InFlight] = {}
+            for sequence in pending:
+                cached = self._result_cache.get(model_name, sequence)
+                if cached is not None:
+                    self._counters.increment("cache_hits")
+                    rows[sequence] = cached
+                elif not self.coalesce:
+                    leaders[sequence] = None
+                else:
+                    flight, is_leader = self._result_cache.join_flight(
+                        model_name, sequence, epoch
                     )
-            self._record_latency(start, len(validated))
-        else:
-            self._record_latency(
-                start,
-                len(validated),
-                span="service.cache_hit",
-                attrs={"sequences": len(validated)},
-            )
-        return np.vstack([rows[index] for index in range(len(validated))])
+                    (leaders if is_leader else followers)[sequence] = flight
+            if leaders:
+                self._counters.increment("cache_misses", len(leaders))
+                unit = _Request(model_name, list(leaders), model, epoch)
+                try:
+                    self._run_unit(unit, inline)
+                except BaseException as exc:
+                    # Followers share the leader's fate — never hang them.
+                    for sequence, flight in leaders.items():
+                        if flight is not None:
+                            self._result_cache.finish_flight(
+                                model_name, sequence, flight, error=exc
+                            )
+                    raise
+                units.append(unit)
+                for (sequence, flight), row in zip(leaders.items(), unit.result):
+                    rows[sequence] = row
+                    if flight is not None:
+                        self._result_cache.finish_flight(
+                            model_name, sequence, flight, value=row
+                        )
+            # Followers wait only after this call's own flights are finished,
+            # so two calls following each other's sequences cannot deadlock.
+            followed = followed or bool(followers)
+            pending = []
+            for sequence, flight in followers.items():
+                if not flight.event.wait(timeout=self.request_timeout):
+                    raise TimeoutError(
+                        f"prediction for model {model_name!r} timed out after "
+                        f"{self.request_timeout}s (coalesced)"
+                    )
+                if flight.epoch != self._model_epoch(model_name):
+                    # A hot-swap landed mid-flight: the leader computed
+                    # against the retired model version.  The leader's own
+                    # caller keeps its pinned result; followers retry
+                    # against the current model.
+                    self._counters.increment("coalesced_stale")
+                    pending.append(sequence)
+                elif flight.error is not None:
+                    raise flight.error
+                else:
+                    self._counters.increment("coalesced_hits")
+                    assert flight.value is not None
+                    rows[sequence] = flight.value.copy()
+            if pending:
+                epoch = self._model_epoch(model_name)
+                model = self._require_model(model_name)
+        end = time.perf_counter()
+        self._latency.record(end - start, count=len(validated))
+        trace = current_trace()
+        if trace is not None:
+            self._add_spans(trace, model_name, units, followed, start, end)
+        return np.vstack([rows[sequence] for sequence in validated])
 
     def predict_batch(self, model_name: str, sequences: Sequence[Iterable[str]]) -> list[str]:
         """Predicted cuisine names for a batch of raw sequences."""
@@ -633,24 +594,44 @@ class PredictionService:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def _record_latency(
-        self,
+    @staticmethod
+    def _add_spans(
+        trace,
+        model_name: str,
+        units: list[_Request],
+        followed: bool,
         start: float,
-        count: int = 1,
-        *,
-        span: str | None = None,
-        attrs: dict | None = None,
+        end: float,
     ) -> None:
-        """Record the call's latency since *start*; with *span*, also add
-        the same interval to the active trace (cache hits, coalesced
-        followers)."""
-        end = time.perf_counter()
-        self._latency.record(end - start, count=count)
-        trace = current_trace() if span is not None else None
-        if trace is not None:
-            trace.add_stamped_span(
-                span, start, end, parent=current_span_id(), attrs=attrs
+        """Lay out one call's service spans on its trace.
+
+        The batch thread knows nothing about traces (one pass serves many
+        callers); the caller builds its units' spans from the stamps the
+        batch thread left on them.  A call that ran no unit gets one span
+        over its whole wait: a coalesced follower's or a cache hit's.
+        """
+        parent = current_span_id()
+        for unit in units:
+            batch = trace.add_stamped_span(
+                "service.batch",
+                unit.submitted,
+                unit.predicted,
+                parent=parent,
+                attrs={
+                    "model": model_name,
+                    "batch_size": unit.batch_size,
+                    "sequences": len(unit.sequences),
+                },
             )
+            for name, begin, finish in (
+                ("service.queue_wait", unit.submitted, unit.drained),
+                ("service.featurize", unit.started, unit.featurized),
+                ("service.predict", unit.featurized, unit.predicted),
+            ):
+                trace.add_stamped_span(name, begin, finish, parent=batch.span_id)
+        if not units:
+            name = "service.coalesced_follower" if followed else "service.cache_hit"
+            trace.add_stamped_span(name, start, end, parent=parent, attrs={"model": model_name})
 
     def stats(self) -> dict:
         """Service counters plus the underlying feature-store statistics.
@@ -669,12 +650,14 @@ class PredictionService:
         batched = counters.get("batched_requests", 0)
         with self._stats_lock:
             largest = self._largest_batch
+        # Every count below is of sequences, not calls: a batch of N is N
+        # requests, and a flush's size is the sequences it ran.
         payload = {
             "requests": sum(requests.values()),
             "requests_by_model": requests,
             "cache_hits": counters.get("cache_hits", 0),
             "cache_misses": counters.get("cache_misses", 0),
-            #: Requests served by joining another request's in-flight
+            #: Sequences served by joining another call's in-flight
             #: computation (single-flight), and waits retried because a
             #: hot-swap landed mid-flight.
             "coalesced_hits": counters.get("coalesced_hits", 0),

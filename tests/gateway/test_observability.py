@@ -143,8 +143,8 @@ class TestStageTimer:
         with PredictionService({"m": logreg_bundle.model}) as service:
             assert service.stats()["stages"] == {}
             service.predict_proba_batch("m", gateway_sequences[:2])
-            # The explicit batch path never queues.
-            assert list(service.stats()["stages"]) == ["featurize", "predict"]
+            # An explicit batch queues as one unit, like a single request.
+            assert list(service.stats()["stages"]) == self.STAGES
 
     def test_per_stage_latency_accounting(self, logreg_bundle, gateway_sequences):
         with PredictionService({"m": logreg_bundle.model}, cache_size=0) as service:
@@ -153,8 +153,8 @@ class TestStageTimer:
             stages = service.stats()["stages"]
         assert stages["featurize"]["count"] == 5
         assert sum(n for _, n in stages["featurize"]["buckets"]) == 2  # two passes
-        assert stages["queue_wait"]["count"] == 1
-        assert stages["batch_size"]["max"] == 1.0
+        assert stages["queue_wait"]["count"] == 5
+        assert stages["batch_size"]["max"] == 4.0
         assert stages["queue_depth"]["max"] == 0.0
 
     def test_snapshot_sorted_by_stage(self, logreg_bundle, gateway_sequences):
@@ -194,8 +194,8 @@ class TestStageTimer:
 class TestRouteMetrics:
     def test_request_and_variant_accounting(self):
         metrics = RouteMetrics()
-        metrics.record_request("v1", 0.010)
-        metrics.record_request("v2", 0.020, count=3)
+        metrics.record_batch({"v1": 1}, 0.010)
+        metrics.record_batch({"v2": 3}, 0.020)
         metrics.record_error()
         snapshot = metrics.snapshot()
         assert snapshot["requests"] == 5
@@ -260,7 +260,7 @@ class TestJSONSafeSnapshots:
 
     def test_route_metrics_snapshot_is_json_safe(self):
         metrics = RouteMetrics()
-        metrics.record_request("v1", 0.005)
+        metrics.record_batch({"v1": 1}, 0.005)
         metrics.record_shadow("v2", agreements=1, disagreements=0)
         json.dumps(metrics.snapshot())
 

@@ -45,10 +45,20 @@ def predict(client, sequence, key="user-1"):
 
 
 class TestTraceRetrieval:
+    @pytest.mark.parametrize("body", ["single", "batch"])
     def test_predict_echoes_trace_id_and_serves_span_chain(
-        self, traced_client, server_sequences
+        self, traced_client, server_sequences, body
     ):
-        trace_id = predict(traced_client, server_sequences[0])
+        if body == "single":
+            trace_id = predict(traced_client, server_sequences[0])
+        else:
+            sequences = [list(sequence) for sequence in server_sequences[:3]]
+            status, payload = traced_client.request(
+                "POST", "/routes/cuisine/predict",
+                {"sequences": sequences, "keys": ["user-1"] * 3},
+            )
+            assert status == 200, payload
+            trace_id = traced_client.last_headers.get(TRACE_HEADER)
         assert trace_id and len(trace_id) == 32
         status, trace = traced_client.request("GET", f"/debug/traces/{trace_id}")
         assert status == 200
@@ -62,7 +72,10 @@ class TestTraceRetrieval:
         for stage in ("service.queue_wait", "service.featurize", "service.predict"):
             assert spans[stage]["parent_id"] == batch_id
             assert spans[stage]["duration_ms"] >= 0.0
-        assert spans["gateway.route"]["attrs"]["variant"] == "v1"
+        # One attribute set for both bodies (``pinned`` only when pinned).
+        route_attrs = spans["gateway.route"]["attrs"]
+        assert set(route_attrs) == {"route", "policy", "batch", "variants", "shadows"}
+        assert route_attrs["variants"] == {"v1": 1 if body == "single" else 3}
         assert spans["server.request"]["parent_id"] is None
 
     def test_repeat_key_hits_cache_and_traces_it(

@@ -7,6 +7,7 @@ other side.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 
@@ -46,6 +47,45 @@ def test_batch_predict_with_keys(running_server, client, server_sequences):
     assert len(payload["labels"]) == 5
     expected = server.gateway.predict_proba_batch("cuisine", sequences, keys=keys)
     assert np.allclose(payload["probabilities"], expected)
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])  # logreg, naive_bayes
+def test_response_bodies_are_byte_stable(running_server, server_sequences, version):
+    """Single and batch bodies are, byte for byte, the wire shapes built from
+    a direct model pass.  A statistical model's row does not depend on the
+    batch it ran in, so a single body is the batch-of-one it is served as."""
+    server, handle = running_server
+    model = server.gateway.service._models[f"cuisine@{version}"]
+    label_space = server.gateway.registry.label_space("cuisine")
+    assert tuple(model.label_space) == tuple(label_space)
+    sequences = [list(s) for s in server_sequences[:4]]
+    rows = model.predict_proba_sequences(sequences)
+    labels = [label_space[int(i)] for i in rows.argmax(axis=1)]
+    probabilities = [[float(p) for p in row] for row in rows]
+    cases = [
+        (
+            {"sequence": sequences[0], "version": version},
+            {"route": "cuisine", "label": labels[0], "probabilities": probabilities[0]},
+        ),
+        (
+            {"sequences": sequences, "version": version},
+            {
+                "route": "cuisine",
+                "count": len(sequences),
+                "labels": labels,
+                "probabilities": probabilities,
+            },
+        ),
+    ]
+    connection = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+    try:
+        for request, expected in cases:
+            connection.request("POST", "/routes/cuisine/predict", body=json.dumps(request))
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.read() == json.dumps(expected, sort_keys=True).encode("utf-8")
+    finally:
+        connection.close()
 
 
 def test_version_pinned_predict(client, server_sequences):

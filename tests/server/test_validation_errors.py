@@ -78,6 +78,26 @@ def test_bad_single_sequences(client, sequence, expected_field):
     assert payload["error"]["field"] == expected_field
 
 
+@pytest.mark.parametrize(
+    "batch, extra, expected_field",
+    [
+        (False, {"bogus": 1}, "bogus"),
+        (False, {"kye": "user-1"}, "kye"),       # a misspelled key is not dropped
+        (False, {"keys": ["user-1"]}, "keys"),   # batch-only field, single body
+        (True, {"bogus": 1}, "bogus"),
+        (True, {"key": "user-1"}, "key"),        # single-only field, batch body
+    ],
+)
+def test_unknown_fields_rejected(client, server_sequences, batch, extra, expected_field):
+    sequence = list(server_sequences[0])
+    body = {"sequences": [sequence]} if batch else {"sequence": sequence}
+    status, payload = client.request("POST", "/routes/cuisine/predict", {**body, **extra})
+    assert status == 400
+    _assert_structured(payload)
+    assert payload["error"]["code"] == "bad_field"
+    assert payload["error"]["field"] == expected_field
+
+
 # ----------------------------------------------------------------------
 # batches
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the naturally batching worker and single-flight coalescing."""
 
+import random
+import sys
 import threading
 import time
 
@@ -9,6 +11,7 @@ import pytest
 from repro.models.registry import create_model
 from repro.serving import PredictionService
 from repro.serving.featurizer import BatchFeaturizer
+from tests.serving.conftest import WAIT_SECONDS
 
 MODELS = ("logreg", "naive_bayes")
 MODEL_KWARGS = {"logreg": {"max_iter": 30}, "naive_bayes": {}}
@@ -47,6 +50,24 @@ def _call_in_thread(target, *args) -> threading.Thread:
     thread = threading.Thread(target=target, args=args)
     thread.start()
     return thread
+
+
+def _count_followers(service, count: int) -> threading.Event:
+    """An event set once *count* flight joins found a leader to follow."""
+    joined = threading.Event()
+    followers: list = []
+    join = service._result_cache.join_flight
+
+    def counting(*args):
+        flight, is_leader = join(*args)
+        if not is_leader:
+            followers.append(flight)
+            if len(followers) >= count:
+                joined.set()
+        return flight, is_leader
+
+    service._result_cache.join_flight = counting
+    return joined
 
 
 class TestNaturalBatching:
@@ -88,6 +109,36 @@ class TestNaturalBatching:
         assert stats["stages"]["queue_depth"]["max"] == 0.0
         assert stats["stages"]["batch_size"]["count"] == 1
         assert stats["stages"]["batch_size"]["max"] == 1.0
+
+    def test_units_are_never_split(self, fitted_models, sequences, gate_pass):
+        """A batch is one unit: it counts its length against max_batch_size,
+        and a unit that does not fit waits whole for the next flush."""
+        with PredictionService(
+            {"m": fitted_models["logreg"]}, cache_size=0, max_batch_size=4
+        ) as service:
+            gate = gate_pass(service, "m")
+            threads = [_call_in_thread(service.predict_proba, "m", sequences[0])]
+            gate.wait_entered()
+            threads.append(
+                _call_in_thread(service.predict_proba_batch, "m", sequences[1:4])
+            )
+            gate.wait_queued(1)
+            threads.append(
+                _call_in_thread(service.predict_proba_batch, "m", sequences[4:6])
+            )
+            gate.wait_queued(2)
+            threads.append(
+                _call_in_thread(service.predict_proba_batch, "m", sequences[6:12])
+            )
+            gate.wait_queued(3)
+            gate.release()
+            for thread in threads:
+                thread.join()
+            stats = service.stats()
+        # 3 + 2 > 4, so the pair leads the next flush; the unit of 6 is
+        # longer than max_batch_size and runs as a flush of its own.
+        assert gate.rows == [1, 3, 2, 6]
+        assert stats["largest_batch"] == 6
 
     def test_close_drains_every_queued_request(
         self, fitted_models, sequences, gate_pass
@@ -227,6 +278,122 @@ class TestCoalescing:
             model.predict_proba_features = original
         assert len(errors) == 5
         assert all("boom" in str(exc) for exc in errors)
+
+
+class TestBatchCoalescing:
+    """Explicit batches share single-flight with each other and dedup
+    themselves.  The model pass is gated on an event and follower joins are
+    counted through ``join_flight``, so nothing waits on the clock."""
+
+    def test_identical_concurrent_batches_run_one_pass(
+        self, fitted_models, sequences, gate_pass
+    ):
+        batch = sequences[:4]
+        with PredictionService({"m": fitted_models["logreg"]}, cache_size=0) as service:
+            gate = gate_pass(service, "m")
+            followed = _count_followers(service, len(batch))
+            results: list = [None, None]
+
+            def call(index):
+                results[index] = service.predict_proba_batch("m", batch)
+
+            threads = [_call_in_thread(call, 0)]
+            gate.wait_entered()  # the leader's unit is inside its model pass
+            threads.append(_call_in_thread(call, 1))
+            assert followed.wait(WAIT_SECONDS), "the second batch never followed"
+            gate.release()
+            for thread in threads:
+                thread.join()
+            stats = service.stats()
+        assert gate.rows == [len(batch)]
+        assert stats["cache_misses"] == len(batch)
+        assert stats["coalesced_hits"] == len(batch)  # the follower's rows
+        assert np.array_equal(results[0], results[1])
+
+    def test_batch_repeating_a_sequence(self, fitted_models, sequences, gate_pass):
+        with PredictionService(
+            {"m": fitted_models["logreg"]}, cache_size=0, request_timeout=WAIT_SECONDS
+        ) as service:
+            gate = gate_pass(service, "m")
+            gate.release()  # count rows only
+            a, b = sequences[:2]
+            rows = service.predict_proba_batch("m", [a, b, a, a])
+            stats = service.stats()
+        assert gate.rows == [2]  # one pass over the distinct sequences
+        assert rows.shape[0] == 4
+        assert np.array_equal(rows[0], rows[2]) and np.array_equal(rows[0], rows[3])
+        assert stats["coalesced_hits"] == 0  # it never followed its own flight
+
+    def test_follower_batch_gets_the_leaders_error(self, fitted_models, sequences):
+        model = fitted_models["logreg"]
+        original = model.predict_proba_features
+        entered, release = threading.Event(), threading.Event()
+
+        def exploding(features):
+            entered.set()
+            release.wait(WAIT_SECONDS)
+            raise RuntimeError("boom")
+
+        model.predict_proba_features = exploding
+        try:
+            with PredictionService({"m": model}, cache_size=0) as service:
+                followed = _count_followers(service, 2)
+                errors: list = [None, None]
+
+                def call(index):
+                    try:
+                        service.predict_proba_batch("m", sequences[:2])
+                    except RuntimeError as exc:
+                        errors[index] = exc
+
+                threads = [_call_in_thread(call, 0)]
+                assert entered.wait(WAIT_SECONDS)
+                threads.append(_call_in_thread(call, 1))
+                assert followed.wait(WAIT_SECONDS), "the second batch never followed"
+                release.set()
+                for thread in threads:
+                    thread.join()
+        finally:
+            model.predict_proba_features = original
+        assert errors[0] is not None and "boom" in str(errors[0])
+        assert errors[1] is errors[0]
+
+
+    def test_overlapping_batches_under_thread_churn(self, fitted_models, sequences):
+        """Stress: more callers than cores sending overlapping batches with
+        repeats, with thread switches forced often.  Every row must be the
+        model's own row, no call may hang, and no flight may leak."""
+        model = fitted_models["logreg"]
+        pool = sequences[:6]
+        with PredictionService({"m": model}, cache_size=0) as service:
+            reference = dict(zip(pool, service.predict_proba_batch("m", pool)))
+            rng = random.Random(0)
+            calls = [[rng.choice(pool) for _ in range(4)] for _ in range(120)]
+            bad: list = []
+
+            def caller(batches):
+                for batch in batches:
+                    rows = service.predict_proba_batch("m", batch)
+                    for sequence, row in zip(batch, rows):
+                        if not np.array_equal(row, reference[sequence]):
+                            bad.append(sequence)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    _call_in_thread(caller, calls[index::8]) for index in range(8)
+                ]
+                for thread in threads:
+                    thread.join(WAIT_SECONDS)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = service.stats()
+            assert service._result_cache.inflight_count() == 0
+        assert bad == []
+        distinct = len(pool) + sum(len(set(batch)) for batch in calls)
+        assert stats["cache_misses"] + stats["coalesced_hits"] == distinct
 
 
 class TestBitwiseIdentity:

@@ -247,41 +247,54 @@ class TestMicroBatching:
 
 
 class TestShutdownUnderLoad:
+    @pytest.mark.parametrize("submit", ["single", "batch"])
     def test_close_drains_queued_requests(
-        self, export_dir, request_sequences, gate_pass
+        self, export_dir, request_sequences, gate_pass, submit
     ):
         """Requests accepted into the queue before close() are processed to
-        completion — shutdown drains, it does not drop."""
-        from repro.serving.service import _Request
-
+        completion — shutdown drains, it does not drop — whether they came
+        as single predicts or as one explicit batch."""
+        # Distinct sequences, so no queued request coalesces with another.
+        distinct = list(dict.fromkeys(tuple(s) for s in request_sequences))[:13]
         service = PredictionService.from_export_dir(export_dir, cache_size=0)
         gate = gate_pass(service, "logreg")
         first = threading.Thread(
-            target=service.predict_proba, args=("logreg", request_sequences[0])
+            target=service.predict_proba, args=("logreg", distinct[0])
         )
         first.start()
         gate.wait_entered()  # the worker is busy; what follows stays queued
-        model = service._models["logreg"]
-        queued = [
-            _Request(
-                model_name="logreg",
-                sequence=tuple(sequence),
-                model=model,
-                epoch=service._model_epoch("logreg"),
-            )
-            for sequence in request_sequences[1:13]
-        ]
-        for request in queued:
-            service._queue.put(request)
+        rows: list = []
+        if submit == "single":
+            callers = [
+                threading.Thread(
+                    target=lambda s=s: rows.append(service.predict_proba("logreg", s))
+                )
+                for s in distinct[1:]
+            ]
+        else:
+            callers = [
+                threading.Thread(
+                    target=lambda: rows.extend(
+                        service.predict_proba_batch("logreg", distinct[1:])
+                    )
+                )
+            ]
+        for caller in callers:
+            caller.start()
+        gate.wait_queued(len(callers))
         closer = threading.Thread(target=service.close)
         closer.start()
         gate.release()
         closer.join()
         first.join()
-        for request in queued:
-            assert request.done.is_set()
-            assert request.error is None
-            assert request.result is not None
+        for caller in callers:
+            caller.join(timeout=60.0)
+            assert not caller.is_alive()
+        assert len(rows) == len(distinct) - 1
+        for row in rows:
+            np.testing.assert_allclose(row.sum(), 1.0)
+        with pytest.raises(RuntimeError, match="closed"):
+            service.predict_proba_batch("logreg", distinct[1:3])
 
     def test_concurrent_close_never_drops_or_times_out(
         self, export_dir, request_sequences
@@ -412,12 +425,13 @@ class TestObservability:
             assert stages["featurize"]["count"] == 8
             assert stages["predict"]["count"] == 8
             assert stages["featurize"]["total_seconds"] >= 0.0
-            # The batch path never queues, so no queue_wait is recorded.
-            assert "queue_wait" not in stages
+            # The batch queues as one unit: one queue wait, counted per row.
+            assert stages["queue_wait"]["count"] == 8
+            assert sum(n for _, n in stages["queue_wait"]["buckets"]) == 1
             service.predict_proba("logreg", request_sequences[10])
             stages = service.stats()["stages"]
-            # The micro-batched single request records its queue wait.
-            assert stages["queue_wait"]["count"] == 1
+            # The single request is a batch of one with its own queue wait.
+            assert stages["queue_wait"]["count"] == 9
 
     def test_stage_timers_render_in_metrics_text(self, export_dir, request_sequences):
         from repro.observability import render_metrics_text

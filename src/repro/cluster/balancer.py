@@ -7,10 +7,10 @@ back-ends, and **routing-key affinity** — a request carrying a routing
 ``key`` always lands on the same worker (while the member set is stable),
 so per-worker result caches stay as hot as a single server's.
 
-The balancer is a thin L7 relay over the repro wire protocol: it parses
-each request off the client connection
-(:func:`repro.server.protocol.read_request`), picks a back-end on the
-:class:`HashRing` (keyless requests round-robin), replays the request on a
+The balancer is a thin L7 relay on the shared HTTP front end
+(:class:`repro.server.app.HTTPFrontEnd`, which reads each request off the
+client connection): its dispatch parses the body once, picks a back-end on
+the :class:`HashRing` (keyless requests round-robin), replays the request on a
 pooled keep-alive back-end connection
 (:class:`repro.loadgen.client.ConnectionPool` — which transparently
 retries once when an idle pooled socket turns out to have been closed by a
@@ -24,21 +24,14 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import itertools
-import json
 import logging
-import threading
 from bisect import bisect_right
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.gateway.policies import derive_request_key as _derive_request_key
 from repro.loadgen.client import ConnectionPool
-from repro.server.protocol import (
-    HTTPError,
-    HTTPRequest,
-    json_response,
-    read_request,
-    render_response,
-)
+from repro.server.app import HTTPFrontEnd, RawBody
+from repro.server.protocol import HTTPError, HTTPRequest
 from repro.trace import TRACE_HEADER, TraceStore, Tracer, format_trace_header
 
 logger = logging.getLogger(__name__)
@@ -101,25 +94,7 @@ class HashRing:
         return self._points[index][1]
 
 
-class BalancerHandle:
-    """Control handle for a balancer running in a background thread."""
-
-    def __init__(self, balancer: "ClusterBalancer", thread: threading.Thread) -> None:
-        self.balancer = balancer
-        self._thread = thread
-
-    @property
-    def port(self) -> int:
-        return self.balancer.port
-
-    def stop(self, timeout: float = 30.0) -> None:
-        self.balancer.request_stop()
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise TimeoutError(f"balancer did not stop within {timeout}s")
-
-
-class ClusterBalancer:
+class ClusterBalancer(HTTPFrontEnd):
     """One public port relaying requests to a mutable set of back-ends."""
 
     def __init__(
@@ -135,8 +110,7 @@ class ClusterBalancer:
         trace_seed: int = 0,
         trace_capacity: int = 256,
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.max_header_bytes = max_header_bytes
         self.max_body_bytes = max_body_bytes
         #: Tracing mirrors the worker servers: the balancer starts each
@@ -153,9 +127,6 @@ class ClusterBalancer:
         self._addresses: dict[str, tuple[str, int]] = {}
         self._pools: dict[str, ConnectionPool] = {}
         self._round_robin = itertools.count()
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
 
     # ------------------------------------------------------------------
     # membership (call from the serving loop / supervisor task)
@@ -177,166 +148,35 @@ class ClusterBalancer:
         return self.ring.members
 
     # ------------------------------------------------------------------
-    # lifecycle (mirrors ModelServer)
+    # lifecycle
     # ------------------------------------------------------------------
-    async def serve(self, ready: Callable[[], None] | None = None) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.host,
-            port=self.port,
-            limit=max(self.max_header_bytes, 65536),
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    async def _open(self) -> None:
+        self.port = (await self._listen(self.port))[1]
         logger.info("cluster balancer listening on %s:%d", self.host, self.port)
-        if ready is not None:
-            ready()
-        try:
-            await self._stop_event.wait()
-        finally:
-            self._server.close()
-            await self._server.wait_closed()
-            for pool in self._pools.values():
-                pool.close()
-            self._pools.clear()
 
-    def request_stop(self) -> None:
-        loop, event = self._loop, self._stop_event
-        if loop is None or event is None:
-            return
-        try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:
-            pass
-
-    def start_in_thread(self, *, timeout: float = 30.0) -> BalancerHandle:
-        ready = threading.Event()
-        failures: list[BaseException] = []
-
-        def runner() -> None:
-            try:
-                asyncio.run(self.serve(ready=ready.set))
-            except BaseException as exc:
-                failures.append(exc)
-            finally:
-                ready.set()
-
-        thread = threading.Thread(target=runner, name="repro-balancer", daemon=True)
-        thread.start()
-        if not ready.wait(timeout):
-            raise TimeoutError(f"balancer failed to start within {timeout}s")
-        if failures:
-            raise failures[0]
-        return BalancerHandle(self, thread)
+    async def _close(self) -> None:
+        for pool in self._pools.values():
+            pool.close()
+        self._pools.clear()
 
     # ------------------------------------------------------------------
     # relay
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader,
-                        max_header_bytes=self.max_header_bytes,
-                        max_body_bytes=self.max_body_bytes,
-                    )
-                except HTTPError as exc:
-                    writer.write(json_response(exc.status, exc.payload(), keep_alive=False))
-                    await writer.drain()
-                    break
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                if request is None:
-                    break
-                try:
-                    response = await self._relay(request)
-                except HTTPError as exc:
-                    response = json_response(
-                        exc.status, exc.payload(), keep_alive=request.keep_alive
-                    )
-                try:
-                    writer.write(response)
-                    await writer.drain()
-                except ConnectionError:
-                    break
-                if not request.keep_alive:
-                    break
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    def _routing_key(self, request: HTTPRequest) -> str | None:
-        """The affinity key of *request*: ``key``, or the first of ``keys``."""
-        if not request.body:
-            return None
-        try:
-            payload = json.loads(request.body)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        key = payload.get("key")
-        if isinstance(key, str):
-            return key
-        keys = payload.get("keys")
-        if isinstance(keys, list) and keys and isinstance(keys[0], str):
-            return keys[0]
-        return None
-
-    def _pick_backend(self, request: HTTPRequest) -> str:
+    async def _dispatch(self, request: HTTPRequest):
+        """Relay *request* to a back-end; the answer is the back-end's response."""
         members = self.ring.members
         if not members:
             raise HTTPError(503, "no_backends", "no workers are available")
-        key = self._routing_key(request)
+        payload = request.json() if request.body else None
+        key = _routing_key(payload)
         if key is not None:
-            chosen = self.ring.lookup(key)
-            if chosen is not None:
-                return chosen
-        return members[next(self._round_robin) % len(members)]
-
-    @staticmethod
-    def _trace_key(payload) -> str:
-        """The key a trace id is derived from: the explicit routing key when
-        present, else the content-derived key of the (first) sequence — the
-        same derivation the worker gateway uses, so ids stay deterministic
-        for a seeded scenario."""
-        if isinstance(payload, dict):
-            key = payload.get("key")
-            if isinstance(key, str):
-                return key
-            keys = payload.get("keys")
-            if isinstance(keys, list) and keys and isinstance(keys[0], str):
-                return keys[0]
-            for field in ("sequence", "sequences"):
-                value = payload.get(field)
-                if isinstance(value, list) and value:
-                    item = value[0] if field == "sequences" else value
-                    if isinstance(item, list):
-                        return _derive_request_key(str(token) for token in item)
-                    return _derive_request_key(str(token) for token in value)
-        return ""
-
-    async def _relay(self, request: HTTPRequest) -> bytes:
-        backend = self._pick_backend(request)
+            backend = self.ring.lookup(key)
+        else:
+            backend = members[next(self._round_robin) % len(members)]
         host, port = self._addresses[backend]
         pool = self._pools.get(backend)
         if pool is None:
             pool = self._pools[backend] = ConnectionPool(host, port)
-        payload = None
-        if request.body:
-            try:
-                payload = json.loads(request.body)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise HTTPError(
-                    400, "invalid_json", f"request body is not valid JSON: {exc}"
-                ) from None
         headers = {
             name: value
             for name, value in request.headers.items()
@@ -350,7 +190,7 @@ class ClusterBalancer:
             and segments[0] == "routes"
             and segments[2] == "predict"
         ):
-            trace = self.tracer.begin(self._trace_key(payload))
+            trace = self.tracer.begin(_trace_key(payload, key))
             if trace is not None:
                 span = trace.start_span(
                     "balancer.relay",
@@ -370,18 +210,43 @@ class ClusterBalancer:
             raise HTTPError(
                 502, "bad_backend", f"worker {backend} failed: {type(exc).__name__}"
             ) from None
-        extra_headers = None
         if trace is not None:
             if response.status >= 400:
                 trace.error = True
                 span.attrs["status"] = response.status
             trace.end_span(span)
             self.traces.offer(trace)
-            extra_headers = {TRACE_HEADER: trace.trace_id}
-        return render_response(
-            response.status,
-            response.body,
-            content_type=response.headers.get("content-type", "application/json"),
-            keep_alive=request.keep_alive,
-            extra_headers=extra_headers,
-        )
+            self._echo_trace(trace)
+        content_type = response.headers.get("content-type", "application/json")
+        return response.status, RawBody(response.body, content_type)
+
+
+def _routing_key(payload) -> str | None:
+    """The affinity key of a parsed body: ``key``, or the first of ``keys``."""
+    if not isinstance(payload, dict):
+        return None
+    key = payload.get("key")
+    if isinstance(key, str):
+        return key
+    keys = payload.get("keys")
+    if isinstance(keys, list) and keys and isinstance(keys[0], str):
+        return keys[0]
+    return None
+
+
+def _trace_key(payload, key: str | None) -> str:
+    """The key a trace id is derived from: the routing *key* when present,
+    else the content-derived key of the (first) sequence — the same
+    derivation the worker gateway uses, so ids stay deterministic for a
+    seeded scenario."""
+    if key is not None:
+        return key
+    if isinstance(payload, dict):
+        for field in ("sequence", "sequences"):
+            value = payload.get(field)
+            if isinstance(value, list) and value:
+                item = value[0] if field == "sequences" else value
+                if isinstance(item, list):
+                    return _derive_request_key(str(token) for token in item)
+                return _derive_request_key(str(token) for token in value)
+    return ""

@@ -162,7 +162,7 @@ async def _run(supervisor: ClusterSupervisor, ready_file: str | None) -> None:
                 )
             )
 
-    await supervisor.run(ready=announce)
+    await supervisor.serve(ready=announce)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,7 +20,8 @@ the supervisor aggregates every worker's ``/healthz`` into one fleet
 document (:func:`~repro.cluster.metrics.merge_health_snapshots`), fans
 ``/admin`` calls out to all workers, and serves both — plus ``/metrics``
 text and the ``/cluster/restart`` / ``/cluster/resize`` verbs — from its
-own control server.
+own control server, which runs on the same
+:class:`~repro.server.app.HTTPFrontEnd` as every worker.
 
 Crashed workers are respawned with exponential backoff.  A **rolling
 restart** replaces workers one at a time, spawn-before-drain: the
@@ -37,7 +38,6 @@ worker, so fleet RSS grows far slower than linearly with worker count.
 from __future__ import annotations
 
 import asyncio
-import hmac
 import itertools
 import json
 import logging
@@ -47,17 +47,17 @@ import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.cluster.balancer import ClusterBalancer
 from repro.cluster.metrics import merge_health_snapshots
 from repro.loadgen.client import ClientConnection
 from repro.observability import render_metrics_text
-from repro.server.protocol import HTTPError, HTTPRequest, json_response, read_request, render_response
+from repro.server.app import HTTPFrontEnd, ServerHandle
+from repro.server.protocol import HTTPError, HTTPRequest
 
 logger = logging.getLogger(__name__)
 
@@ -101,27 +101,11 @@ class Worker:
         }
 
 
-class ClusterHandle:
+class ClusterHandle(ServerHandle):
     """Thread-safe control handle for a supervisor in a background thread."""
 
-    def __init__(self, supervisor: "ClusterSupervisor", thread: threading.Thread) -> None:
-        self.supervisor = supervisor
-        self._thread = thread
-
-    @property
-    def host(self) -> str:
-        return self.supervisor.host
-
-    @property
-    def port(self) -> int:
-        return self.supervisor.port
-
-    @property
-    def control_port(self) -> int:
-        return self.supervisor.control_port
-
     def _call(self, coroutine, timeout: float):
-        loop = self.supervisor._loop
+        loop = self.server._loop
         if loop is None:
             coroutine.close()
             raise RuntimeError("supervisor is not running")
@@ -129,22 +113,16 @@ class ClusterHandle:
 
     def rolling_restart(self, timeout: float = 600.0) -> list[int]:
         """Replace every worker, one at a time, without dropping requests."""
-        return self._call(self.supervisor.rolling_restart(), timeout)
+        return self._call(self.server.rolling_restart(), timeout)
 
     def resize(self, workers: int, timeout: float = 600.0) -> int:
-        return self._call(self.supervisor.resize(workers), timeout)
+        return self._call(self.server.resize(workers), timeout)
 
     def fleet_health(self, timeout: float = 60.0) -> dict:
-        return self._call(self.supervisor.fleet_health(), timeout)
-
-    def stop(self, timeout: float = 120.0) -> None:
-        self.supervisor.request_stop()
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise TimeoutError(f"cluster did not stop within {timeout}s")
+        return self._call(self.server.fleet_health(), timeout)
 
 
-class ClusterSupervisor:
+class ClusterSupervisor(HTTPFrontEnd):
     """Prefork and babysit N ``repro.server`` workers behind one address.
 
     Args:
@@ -164,12 +142,15 @@ class ClusterSupervisor:
             archive instead of copying them per process (default on — the
             point of a prefork fleet).
         cache_size / max_batch_size / service_time / max_inflight /
-            drain_timeout: Forwarded to each worker's CLI.
+            drain_timeout: Forwarded to each worker's CLI; ``drain_timeout``
+            also bounds the drain of the supervisor's own control server.
         admin_token: Enables ``/admin`` and ``/cluster`` verbs on the
             control server, and is handed to workers via the environment.
         workdir: Scratch directory for ready-files and demo training
             (a private temporary directory when ``None``).
     """
+
+    handle_class = ClusterHandle
 
     def __init__(
         self,
@@ -207,9 +188,8 @@ class ClusterSupervisor:
             raise ValueError(f"mode must be auto/reuseport/balancer, got {mode!r}")
         if mode == "reuseport" and not has_reuseport():
             raise ValueError("this platform has no SO_REUSEPORT; use mode='balancer'")
+        super().__init__(host, port)
         self.workers = workers
-        self.host = host
-        self.port = port
         self.control_port = control_port
         self.export_dir = str(export_dir) if export_dir is not None else None
         self.demo = demo
@@ -237,9 +217,6 @@ class ClusterSupervisor:
         self._respawns = 0
         self._spawn_serial = itertools.count()
         self._fleet_lock: asyncio.Lock | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._control_server: asyncio.base_events.Server | None = None
         self._balancer: ClusterBalancer | None = None
         self._balancer_task: asyncio.Task | None = None
         self._monitor_task: asyncio.Task | None = None
@@ -248,102 +225,54 @@ class ClusterSupervisor:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def run(self, ready: Callable[[], None] | None = None) -> None:
-        """Train (demo), prefork the fleet, serve control plane until stopped."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
+    async def _open(self) -> None:
+        """Train (demo), prefork the fleet, open the control listener."""
         self._fleet_lock = asyncio.Lock()
         if self.workdir is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-cluster-")
             self.workdir = Path(self._tmpdir.name)
         self.workdir.mkdir(parents=True, exist_ok=True)
-        try:
-            if self.demo:
-                from repro.server.cli import train_demo_export
+        if self.demo:
+            from repro.server.cli import train_demo_export
 
-                export = self.workdir / "demo-export"
-                bundle = await asyncio.to_thread(
-                    train_demo_export, self.demo_scale, self.demo_seed, export
-                )
-                self.export_dir = str(bundle.parent)
-                if self.route is None:
-                    self.route = "cuisine"
-            if self.mode == "balancer":
-                self._balancer = ClusterBalancer(
-                    host=self.host,
-                    port=self.port,
-                    trace_sample=self.trace_sample,
-                    trace_slow_ms=self.trace_slow_ms,
-                    trace_seed=self.trace_seed,
-                )
-                started = asyncio.Event()
-                self._balancer_task = asyncio.create_task(
-                    self._balancer.serve(ready=started.set)
-                )
-                await started.wait()
-                self.port = self._balancer.port
-            assert self._fleet_lock is not None
-            async with self._fleet_lock:
-                for index in range(self.workers):
-                    self._adopt(await self._spawn(index))
-            limit = 65536
-            self._control_server = await asyncio.start_server(
-                self._handle_control, host=self.host, port=self.control_port, limit=limit
+            export = self.workdir / "demo-export"
+            bundle = await asyncio.to_thread(
+                train_demo_export, self.demo_scale, self.demo_seed, export
             )
-            self.control_port = self._control_server.sockets[0].getsockname()[1]
-            self._monitor_task = asyncio.create_task(self._monitor())
-            logger.info(
-                "repro.cluster: %d workers on %s:%d (%s mode), control on :%d",
-                len(self._workers), self.host, self.port, self.mode, self.control_port,
+            self.export_dir = str(bundle.parent)
+            if self.route is None:
+                self.route = "cuisine"
+        if self.mode == "balancer":
+            self._balancer = ClusterBalancer(
+                host=self.host,
+                port=self.port,
+                trace_sample=self.trace_sample,
+                trace_slow_ms=self.trace_slow_ms,
+                trace_seed=self.trace_seed,
             )
-            if ready is not None:
-                ready()
-            await self._stop_event.wait()
-        finally:
-            await self._shutdown()
+            started = asyncio.Event()
+            self._balancer_task = asyncio.create_task(
+                self._balancer.serve(ready=started.set)
+            )
+            await started.wait()
+            self.port = self._balancer.port
+        async with self._fleet_lock:
+            for index in range(self.workers):
+                self._adopt(await self._spawn(index))
+        self.control_port = (await self._listen(self.control_port))[1]
+        self._monitor_task = asyncio.create_task(self._monitor())
+        logger.info(
+            "repro.cluster: %d workers on %s:%d (%s mode), control on :%d",
+            len(self._workers), self.host, self.port, self.mode, self.control_port,
+        )
 
-    def request_stop(self) -> None:
-        """Thread-safe: begin the fleet shutdown (idempotent)."""
-        loop, event = self._loop, self._stop_event
-        if loop is None or event is None:
-            return
-        try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:
-            pass
-
-    def start_in_thread(self, *, timeout: float = 300.0) -> ClusterHandle:
-        """Run the supervisor on a background thread; returns once serving."""
-        ready = threading.Event()
-        failures: list[BaseException] = []
-
-        def runner() -> None:
-            try:
-                asyncio.run(self.run(ready=ready.set))
-            except BaseException as exc:
-                failures.append(exc)
-            finally:
-                ready.set()
-
-        thread = threading.Thread(target=runner, name="repro-cluster", daemon=True)
-        thread.start()
-        if not ready.wait(timeout):
-            self.request_stop()
-            raise TimeoutError(f"cluster failed to start within {timeout}s")
-        if failures:
-            raise failures[0]
-        return ClusterHandle(self, thread)
-
-    async def _shutdown(self) -> None:
+    async def _close(self) -> None:
         if self._monitor_task is not None:
             self._monitor_task.cancel()
             try:
                 await self._monitor_task
             except asyncio.CancelledError:
                 pass
-        if self._control_server is not None:
-            self._control_server.close()
-            await self._control_server.wait_closed()
         workers = list(self._workers.values())
         self._workers.clear()
         for worker in workers:
@@ -732,21 +661,9 @@ class ClusterSupervisor:
     # ------------------------------------------------------------------
     # control plane HTTP
     # ------------------------------------------------------------------
-    def _require_admin(self, request: HTTPRequest) -> None:
-        if self.admin_token is None:
-            raise HTTPError(
-                403, "admin_disabled",
-                "cluster verbs are disabled (supervisor started without an admin token)",
-            )
-        presented = request.headers.get("x-admin-token") or ""
-        if not hmac.compare_digest(
-            presented.encode("utf-8"), self.admin_token.encode("utf-8")
-        ):
-            raise HTTPError(401, "unauthorized", "missing or invalid x-admin-token header")
-
     async def _fan_out_admin(self, request: HTTPRequest):
         """Replay one ``/admin`` request on every worker's control port."""
-        payload = json.loads(request.body) if request.body else None
+        payload = request.json() if request.body else None
         headers = {"x-admin-token": request.headers.get("x-admin-token", "")}
         workers = sorted(self._workers.values(), key=lambda worker: worker.index)
 
@@ -771,7 +688,7 @@ class ClusterSupervisor:
         status = 200 if results and all(r["status"] == 200 for r in results) else 502
         return status, {"results": list(results)}
 
-    async def _dispatch_control(self, request: HTTPRequest):
+    async def _dispatch(self, request: HTTPRequest):
         segments = request.segments
         if segments == ("healthz",):
             return 200, await self.fleet_health()
@@ -809,57 +726,3 @@ class ClusterSupervisor:
                 raise HTTPError(400, "bad_field", str(exc), field="workers") from None
             return 200, {"workers": target}
         raise HTTPError(404, "not_found", f"no cluster endpoint at {request.path!r}")
-
-    async def _handle_control(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HTTPError as exc:
-                    writer.write(json_response(exc.status, exc.payload(), keep_alive=False))
-                    await writer.drain()
-                    break
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                if request is None:
-                    break
-                try:
-                    status, payload = await self._dispatch_control(request)
-                except HTTPError as exc:
-                    status, payload = exc.status, exc.payload()
-                except Exception as exc:
-                    logger.exception(
-                        "unhandled error on cluster control %s %s",
-                        request.method, request.path,
-                    )
-                    status = 500
-                    payload = {
-                        "error": {
-                            "code": "internal_error",
-                            "message": f"{type(exc).__name__} while serving the request",
-                        }
-                    }
-                if isinstance(payload, str):  # pre-rendered text (``/metrics``)
-                    response = render_response(
-                        status,
-                        payload.encode("utf-8"),
-                        content_type="text/plain; charset=utf-8",
-                        keep_alive=request.keep_alive,
-                    )
-                else:
-                    response = json_response(status, payload, keep_alive=request.keep_alive)
-                try:
-                    writer.write(response)
-                    await writer.drain()
-                except ConnectionError:
-                    break
-                if not request.keep_alive:
-                    break
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass

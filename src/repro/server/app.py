@@ -31,6 +31,11 @@ underlying ``PredictionService``).
 The event loop never runs model code: predictions are handed to a bounded
 thread pool, whose width matches the admission window so accepted requests
 start immediately instead of queueing behind each other.
+
+The connection loop, size limits, response mapping, drain, admin-token
+check and thread lifecycle are :class:`HTTPFrontEnd`, which
+:class:`ModelServer`, the cluster balancer and the cluster supervisor's
+control server all run on; each keeps only its own dispatch.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.eval.canary import evaluate_route
@@ -77,8 +83,8 @@ from repro.trace import (
 
 logger = logging.getLogger(__name__)
 
-#: The trace begun by ``_handle_predict`` for the request currently being
-#: answered, read back by ``_respond`` to echo ``X-Repro-Trace`` on the
+#: The trace a dispatch began for the request currently being answered,
+#: read back by ``HTTPFrontEnd._respond`` to echo ``X-Repro-Trace`` on the
 #: response.  Task-local (each connection is one asyncio task), reset per
 #: request.
 _RESPONSE_TRACE: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
@@ -148,10 +154,18 @@ class _Connection:
         self.task: asyncio.Task | None = None
 
 
-class ServerHandle:
-    """Control handle for a server running in a background thread."""
+@dataclass(frozen=True)
+class RawBody:
+    """A response body sent as-is under its own content type (a relayed answer)."""
 
-    def __init__(self, server: "ModelServer", thread: threading.Thread) -> None:
+    body: bytes
+    content_type: str
+
+
+class ServerHandle:
+    """Control handle for a front end running in a background thread."""
+
+    def __init__(self, server: "HTTPFrontEnd", thread: threading.Thread) -> None:
         self.server = server
         self._thread = thread
 
@@ -163,15 +177,273 @@ class ServerHandle:
     def port(self) -> int:
         return self.server.port
 
-    def stop(self, timeout: float = 60.0) -> None:
-        """Request a graceful drain and wait for the server thread to exit."""
+    @property
+    def control_port(self) -> int | None:
+        return self.server.control_port
+
+    def stop(self, timeout: float = 120.0) -> None:
+        """Request a graceful drain and wait for the serving thread to exit."""
         self.server.request_stop()
         self._thread.join(timeout)
         if self._thread.is_alive():
-            raise TimeoutError(f"server did not drain within {timeout}s")
+            raise TimeoutError(f"{type(self.server).__name__} did not drain within {timeout}s")
 
 
-class ModelServer:
+class HTTPFrontEnd:
+    """The asyncio HTTP/1.1 front end every server of the stack runs on.
+
+    It owns what a keep-alive server repeats: listeners, reading each
+    request within the size limits, answering a framing error and closing,
+    one mapping from a dispatch result or exception to response bytes,
+    in-order (pipelined) writes, the graceful drain, the admin-token check
+    and the background-thread lifecycle.  A subclass supplies ``_open``
+    (bind listeners with :meth:`_listen`, start what else it runs),
+    ``_dispatch`` (a request to ``(status, payload)``) and ``_close`` (tear
+    down after the drain).  A payload is JSON, a ``str`` (sent as
+    ``text/plain``) or a :class:`RawBody`.
+
+    The loop calls ``read_request`` and ``json_response`` through this
+    module's globals, so a benchmark can time parsing and serialization by
+    replacing them here.
+    """
+
+    #: Request size limits (431 / 413).
+    max_header_bytes = 16384
+    max_body_bytes = 1048576
+    #: Seconds the drain waits for connections busy with a request.
+    drain_timeout = 30.0
+    #: Shared secret for admin endpoints; ``None`` disables them (403).
+    admin_token: str | None = None
+    control_port: int | None = None
+    handle_class = ServerHandle
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        #: connections / http_requests / errors:<status>; subclasses add theirs.
+        self.counters = CounterSet()
+        self._draining = False
+        self._connections: set[_Connection] = set()
+        self._listeners: list[asyncio.base_events.Server] = []
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop_event: asyncio.Event | None = None
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    async def _open(self) -> None:
+        raise NotImplementedError
+
+    async def _dispatch(self, request: HTTPRequest):
+        raise NotImplementedError
+
+    async def _close(self) -> None:
+        pass
+
+    async def serve(self, ready: Callable[[], None] | None = None) -> None:
+        """Open, serve until :meth:`request_stop`, then drain gracefully."""
+        self._loop = asyncio.get_running_loop()
+        self._stop_event = asyncio.Event()
+        try:
+            await self._open()
+            if ready is not None:
+                ready()
+            await self._stop_event.wait()
+        finally:
+            await self._drain()
+
+    def request_stop(self) -> None:
+        """Thread-safe: begin the graceful drain (idempotent)."""
+        loop, event = self._loop, self._stop_event
+        if loop is None or event is None:
+            return
+        try:
+            loop.call_soon_threadsafe(event.set)
+        except RuntimeError:
+            pass  # loop already closed — the server is gone
+
+    def start_in_thread(self, *, timeout: float = 300.0) -> ServerHandle:
+        """Run :meth:`serve` on a background thread; returns once serving."""
+        ready = threading.Event()
+        failures: list[BaseException] = []
+
+        def runner() -> None:
+            try:
+                asyncio.run(self.serve(ready=ready.set))
+            except BaseException as exc:  # surfaced to the starter below
+                failures.append(exc)
+            finally:
+                ready.set()
+
+        name = f"repro-{type(self).__name__}"
+        thread = threading.Thread(target=runner, name=name, daemon=True)
+        thread.start()
+        if not ready.wait(timeout):
+            self.request_stop()
+            raise TimeoutError(f"{type(self).__name__} failed to start within {timeout}s")
+        if failures:
+            raise failures[0]
+        return self.handle_class(self, thread)
+
+    async def _listen(
+        self, port: int = 0, sock: socket.socket | None = None
+    ) -> tuple[str, int]:
+        """Serve the connection loop on *sock* or ``host:port``; returns the
+        bound address."""
+        limit = max(self.max_header_bytes, 65536)
+        if sock is not None:
+            listener = await asyncio.start_server(
+                self._handle_connection, sock=sock, limit=limit
+            )
+        else:
+            listener = await asyncio.start_server(
+                self._handle_connection, host=self.host, port=port, limit=limit
+            )
+        self._listeners.append(listener)
+        return listener.sockets[0].getsockname()[:2]
+
+    async def _drain(self) -> None:
+        """Stop accepting, let busy connections answer, then :meth:`_close`."""
+        self._draining = True
+        for listener in self._listeners:
+            listener.close()
+            await listener.wait_closed()
+        # Idle keep-alive connections are parked in a read; closing the
+        # transport wakes them into a clean EOF exit.  Busy connections
+        # finish their current request (the handler loop then exits on the
+        # draining flag) — accepted work is never dropped.
+        for connection in list(self._connections):
+            if not connection.busy:
+                connection.writer.close()
+        pending = [c.task for c in self._connections if c.task is not None]
+        if pending:
+            await asyncio.wait(pending, timeout=self.drain_timeout)
+        await self._close()
+        logger.info(
+            "%s drained (%s connections at shutdown)", type(self).__name__, len(pending)
+        )
+
+    # ------------------------------------------------------------------
+    # connection handling (keep-alive + pipelining)
+    # ------------------------------------------------------------------
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        connection = _Connection(writer)
+        connection.task = asyncio.current_task()
+        self._connections.add(connection)
+        self.counters.increment("connections")
+        try:
+            while True:
+                try:
+                    request = await read_request(
+                        reader,
+                        max_header_bytes=self.max_header_bytes,
+                        max_body_bytes=self.max_body_bytes,
+                    )
+                except HTTPError as exc:
+                    # Framing is unreliable after a malformed head: answer
+                    # and close instead of resynchronizing.
+                    self.counters.increment("http_requests")
+                    await _send(writer, self._render(exc.status, exc.payload(), False))
+                    break
+                except (ConnectionError, asyncio.IncompleteReadError):
+                    break  # peer vanished mid-request
+                if request is None:
+                    break  # clean close between requests
+                connection.busy = True
+                try:
+                    response = await self._respond(request)
+                finally:
+                    connection.busy = False
+                if not await _send(writer, response):
+                    break
+                if self._draining or not request.keep_alive:
+                    break
+        finally:
+            self._connections.discard(connection)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, asyncio.CancelledError):
+                pass
+
+    async def _respond(self, request: HTTPRequest) -> bytes:
+        self.counters.increment("http_requests")
+        keep_alive = request.keep_alive and not self._draining
+        trace_token = _RESPONSE_TRACE.set(None)
+        try:
+            try:
+                status, payload = await self._dispatch(request)
+            except HTTPError as exc:
+                status, payload = exc.status, exc.payload()
+            except Exception as exc:  # never a traceback on the wire
+                # (CancelledError is a BaseException and deliberately propagates:
+                # a cancelled connection task must not fabricate a 500.)
+                logger.exception("unhandled error serving %s %s", request.method, request.path)
+                status = 500
+                payload = {
+                    "error": {
+                        "code": "internal_error",
+                        "message": f"{type(exc).__name__} while serving the request",
+                    }
+                }
+            trace = _RESPONSE_TRACE.get()
+        finally:
+            _RESPONSE_TRACE.reset(trace_token)
+        return self._render(status, payload, keep_alive, trace)
+
+    def _render(
+        self, status: int, payload, keep_alive: bool, trace: Trace | None = None
+    ) -> bytes:
+        if status >= 400:
+            self.counters.increment(f"errors:{status}")
+        extra_headers = {TRACE_HEADER: trace.trace_id} if trace is not None else None
+        if isinstance(payload, RawBody):
+            body, content_type = payload.body, payload.content_type
+        elif isinstance(payload, str):  # pre-rendered plain text (``/metrics``)
+            body, content_type = payload.encode("utf-8"), "text/plain; charset=utf-8"
+        else:
+            return json_response(
+                status, payload, keep_alive=keep_alive, extra_headers=extra_headers
+            )
+        return render_response(
+            status,
+            body,
+            content_type=content_type,
+            keep_alive=keep_alive,
+            extra_headers=extra_headers,
+        )
+
+    @staticmethod
+    def _echo_trace(trace: Trace) -> None:
+        """Echo *trace*'s id in the ``X-Repro-Trace`` header of this response."""
+        _RESPONSE_TRACE.set(trace)
+
+    def _require_admin(self, request: HTTPRequest) -> None:
+        if self.admin_token is None:
+            raise HTTPError(
+                403, "admin_disabled",
+                "admin endpoints are disabled (server started without an admin token)",
+            )
+        presented = request.headers.get("x-admin-token") or ""
+        if not hmac.compare_digest(
+            presented.encode("utf-8"), self.admin_token.encode("utf-8")
+        ):
+            raise HTTPError(401, "unauthorized", "missing or invalid x-admin-token header")
+
+
+async def _send(writer: asyncio.StreamWriter, response: bytes) -> bool:
+    """Write one response; ``False`` when the peer has gone."""
+    try:
+        writer.write(response)
+        await writer.drain()
+    except ConnectionError:
+        return False
+    return True
+
+
+class ModelServer(HTTPFrontEnd):
     """Serve a :class:`~repro.gateway.ModelGateway` over HTTP/1.1.
 
     Args:
@@ -236,9 +508,8 @@ class ModelServer:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_batch_items < 1:
             raise ValueError(f"max_batch_items must be >= 1, got {max_batch_items}")
+        super().__init__(host, port)
         self.gateway = gateway
-        self.host = host
-        self.port = port
         self.control_port = control_port
         self.worker_id = worker_id
         self.admin_token = admin_token
@@ -259,21 +530,15 @@ class ModelServer:
         )
         self.traces = TraceStore(trace_capacity, slow_ms=trace_slow_ms)
 
-        #: Server-level counters: http_requests / predict_requests /
-        #: predict_sequences / shed / errors:<status> / connections.
-        self.counters = CounterSet()
+        # ``self.counters`` also counts predict_requests / predict_sequences /
+        # shed here.
+
         #: Wall-clock latency of handled prediction requests (parse → response
         #: built), the server-side counterpart of a load generator's view.
         self.latency = Histogram()
 
         self._inflight = 0
-        self._draining = False
-        self._connections: set[_Connection] = set()
         self._sock = sock
-        self._server: asyncio.base_events.Server | None = None
-        self._control_server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
         # Pool width == admission window: every admitted request gets a
         # thread immediately, so queueing happens only at the 429 boundary.
         self._executor = ThreadPoolExecutor(
@@ -283,178 +548,22 @@ class ModelServer:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def serve(self, ready: Callable[[], None] | None = None) -> None:
-        """Bind, serve until :meth:`request_stop`, then drain gracefully."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        limit = max(self.max_header_bytes, 65536)
+    async def _open(self) -> None:
         if self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=self._sock, limit=limit
-            )
-            self.host, self.port = self._server.sockets[0].getsockname()[:2]
+            self.host, self.port = await self._listen(sock=self._sock)
         else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port, limit=limit
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
+            self.port = (await self._listen(self.port))[1]
         if self.control_port is not None:
             # A private per-process listener sharing the exact same handler:
             # the data port may be one SO_REUSEPORT socket among many, but
             # this address reaches *this* worker deterministically.
-            self._control_server = await asyncio.start_server(
-                self._handle_connection,
-                host=self.host,
-                port=self.control_port,
-                limit=limit,
-            )
-            self.control_port = self._control_server.sockets[0].getsockname()[1]
+            self.control_port = (await self._listen(self.control_port))[1]
         logger.info("repro.server listening on %s:%d", self.host, self.port)
-        if ready is not None:
-            ready()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self._drain()
 
-    def request_stop(self) -> None:
-        """Thread-safe: begin the graceful drain (idempotent)."""
-        loop, event = self._loop, self._stop_event
-        if loop is None or event is None:
-            return
-        try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:
-            pass  # loop already closed — the server is gone
-
-    def start_in_thread(self, *, timeout: float = 60.0) -> ServerHandle:
-        """Run the server on a background thread; returns once it is bound."""
-        ready = threading.Event()
-        failures: list[BaseException] = []
-
-        def runner() -> None:
-            try:
-                asyncio.run(self.serve(ready=ready.set))
-            except BaseException as exc:  # surfaced to the starter below
-                failures.append(exc)
-            finally:
-                ready.set()
-
-        thread = threading.Thread(target=runner, name="repro-server", daemon=True)
-        thread.start()
-        if not ready.wait(timeout):
-            raise TimeoutError(f"server failed to start within {timeout}s")
-        if failures:
-            raise failures[0]
-        return ServerHandle(self, thread)
-
-    async def _drain(self) -> None:
-        """Stop accepting, finish in-flight requests, close the gateway."""
-        self._draining = True
-        for server in (self._server, self._control_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        # Idle keep-alive connections are parked in a read; closing the
-        # transport wakes them into a clean EOF exit.  Busy connections
-        # finish their current request (the handler loop then exits on the
-        # draining flag) — accepted work is never dropped.
-        for connection in list(self._connections):
-            if not connection.busy:
-                connection.writer.close()
-        pending = [c.task for c in self._connections if c.task is not None]
-        if pending:
-            await asyncio.wait(pending, timeout=self.drain_timeout)
+    async def _close(self) -> None:
         self._executor.shutdown(wait=True)
         if self.owns_gateway:
             await asyncio.to_thread(self.gateway.close)
-        logger.info("repro.server drained (%s connections at shutdown)", len(pending))
-
-    # ------------------------------------------------------------------
-    # connection handling (keep-alive + pipelining)
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(writer)
-        connection.task = asyncio.current_task()
-        self._connections.add(connection)
-        self.counters.increment("connections")
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader,
-                        max_header_bytes=self.max_header_bytes,
-                        max_body_bytes=self.max_body_bytes,
-                    )
-                except HTTPError as exc:
-                    # Framing is unreliable after a malformed head: answer
-                    # and close instead of resynchronizing.
-                    writer.write(json_response(exc.status, exc.payload(), keep_alive=False))
-                    await writer.drain()
-                    break
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break  # peer vanished mid-request
-                if request is None:
-                    break  # clean close between requests
-                connection.busy = True
-                try:
-                    response = await self._respond(request)
-                finally:
-                    connection.busy = False
-                try:
-                    writer.write(response)
-                    await writer.drain()
-                except ConnectionError:
-                    break
-                if self._draining or not request.keep_alive:
-                    break
-        finally:
-            self._connections.discard(connection)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _respond(self, request: HTTPRequest) -> bytes:
-        self.counters.increment("http_requests")
-        keep_alive = request.keep_alive and not self._draining
-        trace_token = _RESPONSE_TRACE.set(None)
-        try:
-            try:
-                status, payload = await self._dispatch(request)
-            except HTTPError as exc:
-                status, payload = exc.status, exc.payload()
-            except Exception as exc:  # never a traceback on the wire
-                # (CancelledError is a BaseException and deliberately propagates:
-                # a cancelled connection task must not fabricate a 500.)
-                logger.exception("unhandled error serving %s %s", request.method, request.path)
-                status = 500
-                payload = {
-                    "error": {
-                        "code": "internal_error",
-                        "message": f"{type(exc).__name__} while serving the request",
-                    }
-                }
-            trace = _RESPONSE_TRACE.get()
-        finally:
-            _RESPONSE_TRACE.reset(trace_token)
-        extra_headers = {TRACE_HEADER: trace.trace_id} if trace is not None else None
-        if status >= 400:
-            self.counters.increment(f"errors:{status}")
-        if isinstance(payload, str):  # pre-rendered plain text (``/metrics``)
-            return render_response(
-                status,
-                payload.encode("utf-8"),
-                content_type="text/plain; charset=utf-8",
-                keep_alive=keep_alive,
-                extra_headers=extra_headers,
-            )
-        return json_response(
-            status, payload, keep_alive=keep_alive, extra_headers=extra_headers
-        )
 
     # ------------------------------------------------------------------
     # dispatch
@@ -702,7 +811,7 @@ class ModelServer:
         else:
             attrs["batch"] = len(parsed["sequences"])
         root = trace.start_span("server.request", parent=parent_id, attrs=attrs)
-        _RESPONSE_TRACE.set(trace)
+        self._echo_trace(trace)
         return trace, root
 
     async def _handle_predict(self, route: str, request: HTTPRequest):
@@ -783,18 +892,6 @@ class ModelServer:
     # ------------------------------------------------------------------
     # admin control plane
     # ------------------------------------------------------------------
-    def _require_admin(self, request: HTTPRequest) -> None:
-        if self.admin_token is None:
-            raise HTTPError(
-                403, "admin_disabled",
-                "admin endpoints are disabled (server started without an admin token)",
-            )
-        presented = request.headers.get("x-admin-token") or ""
-        if not hmac.compare_digest(
-            presented.encode("utf-8"), self.admin_token.encode("utf-8")
-        ):
-            raise HTTPError(401, "unauthorized", "missing or invalid x-admin-token header")
-
     def _handle_admin(self, route: str, action: str, request: HTTPRequest):
         self._require_admin(request)
         payload = request.json() if request.body else {}

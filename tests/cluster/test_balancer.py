@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro.cluster.balancer import ClusterBalancer, HashRing
+from repro.loadgen.client import ConnectionPool
 from repro.server.protocol import json_response, read_request
 from tests.server.conftest import ServerClient
 
@@ -223,3 +224,18 @@ class TestRelay:
         finally:
             client.close()
             handle.stop()
+
+    def test_unhandled_relay_error_returns_500(self, balancer, monkeypatch):
+        _, client = balancer
+
+        async def broken(self, *args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ConnectionPool, "request", broken)
+        status, body = client.request("POST", "/x", {"key": "user-1"})
+        assert status == 500
+        assert body["error"]["code"] == "internal_error"
+        # The connection survives: the next request on it is answered too.
+        monkeypatch.undo()
+        status, body = client.request("POST", "/x", {"key": "user-1"})
+        assert status == 200

@@ -131,6 +131,14 @@ class TestAdminPlane:
         assert all(result["status"] == 200 for result in results)
         assert all(result["body"]["active"] == "v1" for result in results)
 
+    def test_fan_out_rejects_malformed_json(self, control):
+        status, body = control.request(
+            "POST", "/admin/routes/cuisine/swap", raw_body="{not json",
+            headers={"x-admin-token": ADMIN_TOKEN},
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_json"
+
     def test_cluster_verbs_require_token(self, control):
         status, body = control.request("POST", "/cluster/restart")
         assert status == 401

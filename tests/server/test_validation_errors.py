@@ -234,3 +234,56 @@ def test_chunked_transfer_encoding_unsupported(running_server):
         response = sock.recv(65536)
     assert b"501" in response.split(b"\r\n", 1)[0]
     assert b"chunked_unsupported" in response
+
+
+# ----------------------------------------------------------------------
+# framing errors are answered and counted like any other response
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "raw_request, status, code",
+    [
+        (
+            b"POST /routes/cuisine/predict HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 218\r\n\r\n" + b"x" * 218,
+            413, b"body_too_large",
+        ),
+        (
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+            + b"X-Padding: " + b"p" * 40000 + b"\r\n\r\n",
+            431, b"headers_too_large",
+        ),
+        (b"GARBAGE\r\n\r\n", 400, b"bad_request_line"),
+        (
+            b"POST /routes/cuisine/predict HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n",
+            501, b"chunked_unsupported",
+        ),
+    ],
+    ids=["413", "431", "bad-request-line", "501"],
+)
+def test_framing_errors_are_counted(server_export_dir, raw_request, status, code):
+    server = ModelServer(make_gateway(server_export_dir), max_body_bytes=64)
+    handle = server.start_in_thread()
+    test_client = ServerClient(handle.port)
+    try:
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as sock:
+            sock.sendall(raw_request)
+            sock.settimeout(30)
+            response = b""
+            while True:  # the server answers, then closes the connection
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+        assert response.startswith(f"HTTP/1.1 {status} ".encode("latin-1"))
+        assert b"Connection: close" in response
+        assert code in response
+
+        health_status, health = test_client.request("GET", "/healthz")
+        assert health_status == 200
+        counters = health["server"]["counters"]
+        assert counters[f"errors:{status}"] == 1
+        assert counters["http_requests"] == 2  # the framing error + this probe
+    finally:
+        test_client.close()
+        handle.stop()

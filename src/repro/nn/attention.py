@@ -32,52 +32,44 @@ class MultiHeadSelfAttention(Module):
         self.output = Linear(dim, dim, seed=seed + 3)
         self.attention_dropout = Dropout(dropout, seed=seed + 4)
 
-    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def forward(
+        self, x: Tensor, mask: np.ndarray | None = None, cls_only: bool = False
+    ) -> Tensor:
         """Apply self-attention.
 
         Args:
             x: Tensor of shape ``(batch, length, dim)``.
             mask: Optional ``(batch, length)`` array; 0 marks padding
                 positions which are excluded from attention.
+            cls_only: Take the queries from position 0 (``[CLS]``) only;
+                keys and values still come from every position.
 
         Returns:
-            Tensor of shape ``(batch, length, dim)``.
+            Tensor of shape ``(batch, length, dim)``, or ``(batch, 1, dim)``
+            with *cls_only*.
         """
-        batch, length, _ = x.shape
-        heads, head_dim = self.num_heads, self.head_dim
-
-        def split_heads(t: Tensor) -> Tensor:
-            return t.reshape(batch, length, heads, head_dim).transpose(0, 2, 1, 3)
-
-        q = split_heads(self.query(x))
-        k = split_heads(self.key(x))
-        v = split_heads(self.value(x))
-
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(head_dim))
-        if mask is not None:
-            # Broadcast the padding mask over heads and query positions.
-            pad = (np.asarray(mask) == 0.0)[:, None, None, :]
-            pad = np.broadcast_to(pad, scores.shape)
-            scores = scores.masked_fill(pad, -1e9)
-        weights = scores.softmax(axis=-1)
-        weights = self.attention_dropout(weights)
-        context = weights @ v  # (batch, heads, length, head_dim)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
+        weights = self.attention_dropout(self._weights(x, mask, cls_only))
+        context = weights @ self._split_heads(self.value(x))  # (batch, heads, queries, head_dim)
+        batch, _, queries, _ = context.shape
+        context = context.transpose(0, 2, 1, 3).reshape(batch, queries, self.dim)
         return self.output(context)
 
     def attention_weights(self, x: Tensor, mask: np.ndarray | None = None) -> np.ndarray:
         """Return the attention weight matrix for inspection (no dropout)."""
-        batch, length, _ = x.shape
-        heads, head_dim = self.num_heads, self.head_dim
+        return self._weights(x, mask).data
 
-        def split_heads(t: Tensor) -> Tensor:
-            return t.reshape(batch, length, heads, head_dim).transpose(0, 2, 1, 3)
+    def _split_heads(self, t: Tensor) -> Tensor:
+        batch, length, _ = t.shape
+        return t.reshape(batch, length, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-        q = split_heads(self.query(x))
-        k = split_heads(self.key(x))
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(head_dim))
+    def _weights(self, x: Tensor, mask: np.ndarray | None, cls_only: bool = False) -> Tensor:
+        """Softmax attention weights of shape ``(batch, heads, queries, length)``."""
+        queries = x[:, :1, :] if cls_only else x
+        q = self._split_heads(self.query(queries))
+        k = self._split_heads(self.key(x))
+        scores = (q @ k.transpose(0, 1, 3, 2)) * self.head_dim**-0.5
         if mask is not None:
+            # Broadcast the padding mask over heads and query positions.
             pad = (np.asarray(mask) == 0.0)[:, None, None, :]
-            pad = np.broadcast_to(pad, scores.shape)
-            scores = scores.masked_fill(pad, -1e9)
-        return scores.softmax(axis=-1).data
+            scores = scores.masked_fill(np.broadcast_to(pad, scores.shape), -1e9)
+        return scores.softmax(axis=-1)

@@ -7,8 +7,30 @@ from typing import Iterator
 import numpy as np
 
 
+def trim_padding(mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cut a padded minibatch to its last real column.
+
+    Padding sits at the end of every row, and padded positions get exactly
+    zero attention weight and freeze the LSTM state, so the columns after
+    the batch's longest real row change no output.  At least one column is
+    kept, so a batch whose rows are all padding still runs.
+
+    Args:
+        mask: ``(batch, length)`` array; nonzero over real positions.
+        arrays: Further ``(batch, length, ...)`` arrays to cut alike.
+
+    Returns:
+        ``(mask, *arrays)``, each sliced to ``[:, :width]`` (views).
+    """
+    real = np.flatnonzero(np.asarray(mask).any(axis=0))
+    width = int(real[-1]) + 1 if real.size else 1
+    return (mask[:, :width],) + tuple(array[:, :width] for array in arrays)
+
+
 class BatchIterator:
     """Yields shuffled mini-batches of (ids, mask, labels) arrays.
+
+    Each batch is cut to its longest real row (:func:`trim_padding`).
 
     Args:
         ids: Integer id matrix of shape ``(n, length)``.
@@ -63,4 +85,5 @@ class BatchIterator:
             if self.drop_last and len(batch_idx) < self.batch_size:
                 break
             labels = self.labels[batch_idx] if self.labels is not None else None
-            yield self.ids[batch_idx], self.mask[batch_idx], labels
+            mask, ids = trim_padding(self.mask[batch_idx], self.ids[batch_idx])
+            yield ids, mask, labels

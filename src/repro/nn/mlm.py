@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.nn.dataloader import trim_padding
 from repro.nn.losses import masked_cross_entropy_logits
 from repro.nn.optim import AdamW
 from repro.nn.schedules import LinearWarmupDecay
@@ -180,8 +181,11 @@ def pretrain_mlm(
             rows = order[start : start + config.batch_size]
             schedule.step()
             model.zero_grad()
-            logits = model(masked_ids[rows], mask=attention_mask[rows])
-            loss = masked_cross_entropy_logits(logits, targets[rows], loss_mask[rows])
+            batch_mask, batch_ids, batch_targets, batch_loss_mask = trim_padding(
+                attention_mask[rows], masked_ids[rows], targets[rows], loss_mask[rows]
+            )
+            logits = model(batch_ids, mask=batch_mask)
+            loss = masked_cross_entropy_logits(logits, batch_targets, batch_loss_mask)
             loss.backward()
             clip_gradients(model.parameters(), config.clip_norm)
             optimizer.step()

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn.dataloader import BatchIterator
+from repro.nn.dataloader import BatchIterator, trim_padding
 from repro.nn.losses import accuracy_from_logits, cross_entropy_logits
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
@@ -185,6 +185,12 @@ class Trainer:
     ) -> np.ndarray:
         """Model logits for every row of *ids* (evaluation mode, batched).
 
+        With a *mask*, rows are sorted by real length (stably), run in
+        chunks of *batch_size* each cut to its longest real row
+        (:func:`~repro.nn.dataloader.trim_padding`), and the logits are
+        returned in input order.  Without one, rows run in input order at
+        full width.
+
         Leaves the model in evaluation mode.  ``eval()`` is idempotent, so
         threads predicting on one model concurrently all run without
         dropout; switching back to training mode here would turn dropout on
@@ -193,14 +199,23 @@ class Trainer:
         """
         batch_size = batch_size or self.config.batch_size
         self.model.eval()
+        n = ids.shape[0]
+        if mask is None:
+            order = np.arange(n)
+        else:
+            order = np.argsort(np.count_nonzero(mask, axis=1), kind="stable")
         outputs: list[np.ndarray] = []
         with no_grad():
-            for start in range(0, ids.shape[0], batch_size):
-                stop = start + batch_size
-                batch_mask = mask[start:stop] if mask is not None else None
-                logits = self.model(ids[start:stop], mask=batch_mask)
-                outputs.append(logits.data.copy())
-        return np.concatenate(outputs, axis=0)
+            for start in range(0, n, batch_size):
+                rows = order[start : start + batch_size]
+                batch_ids, batch_mask = ids[rows], None
+                if mask is not None:
+                    batch_mask, batch_ids = trim_padding(mask[rows], batch_ids)
+                outputs.append(self.model(batch_ids, mask=batch_mask).data)
+        sorted_logits = np.concatenate(outputs, axis=0)
+        logits = np.empty_like(sorted_logits)
+        logits[order] = sorted_logits
+        return logits
 
 
 def _to_tensor(array: np.ndarray):

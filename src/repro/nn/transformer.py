@@ -71,8 +71,14 @@ class EncoderBlock(Module):
         self.ffn_out = Linear(config.ffn_dim, config.dim, seed=seed + 12)
         self.dropout = Dropout(config.dropout, seed=seed + 13)
 
-    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        attended = self.attention(self.attention_norm(x), mask=mask)
+    def forward(
+        self, x: Tensor, mask: np.ndarray | None = None, cls_only: bool = False
+    ) -> Tensor:
+        """Return ``(batch, length, dim)``; with *cls_only*, ``(batch, 1, dim)``
+        for position 0 alone, which still attends over every position."""
+        attended = self.attention(self.attention_norm(x), mask=mask, cls_only=cls_only)
+        if cls_only:
+            x = x[:, :1, :]
         x = x + self.dropout(attended)
         transformed = self.ffn_out(self.ffn_in(self.ffn_norm(x)).gelu())
         return x + self.dropout(transformed)
@@ -94,15 +100,22 @@ class TransformerEncoder(Module):
         ]
         self.final_norm = LayerNorm(config.dim)
 
-    def forward(self, ids: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+    def forward(
+        self, ids: np.ndarray, mask: np.ndarray | None = None, cls_only: bool = False
+    ) -> Tensor:
         """Encode a padded id batch into contextual vectors.
 
         Args:
             ids: Integer array ``(batch, length)``.
             mask: Attention mask ``(batch, length)``.
+            cls_only: Return position 0 (``[CLS]``) only.  The last block
+                then computes that one row, attending over every position;
+                the other rows of its output feed nothing, so the values
+                and gradients of position 0 are those of the full pass.
 
         Returns:
-            Tensor of shape ``(batch, length, dim)``.
+            Tensor of shape ``(batch, length, dim)``, or ``(batch, 1, dim)``
+            with *cls_only*.
         """
         ids = np.asarray(ids, dtype=np.int64)
         batch, length = ids.shape
@@ -113,8 +126,10 @@ class TransformerEncoder(Module):
         positions = np.broadcast_to(np.arange(length), (batch, length))
         x = self.token_embedding(ids) + self.position_embedding(positions)
         x = self.embedding_dropout(self.embedding_norm(x))
-        for block in self.blocks:
+        *inner, last = self.blocks
+        for block in inner:
             x = block(x, mask=mask)
+        x = last(x, mask=mask, cls_only=cls_only)
         return self.final_norm(x)
 
 
@@ -133,7 +148,7 @@ class TransformerForSequenceClassification(Module):
 
     def forward(self, ids: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Return classification logits of shape ``(batch, num_classes)``."""
-        hidden = self.encoder(ids, mask=mask)
+        hidden = self.encoder(ids, mask=mask, cls_only=True)
         cls = hidden[:, 0, :]
         pooled = self.pooler(cls).tanh()
         return self.classifier(self.classifier_dropout(pooled))

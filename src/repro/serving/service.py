@@ -29,9 +29,10 @@ load) differs by model family.
 * Statistical models (logreg, Naive Bayes, linear SVM, random forest): no.
   ``TfidfVectorizer.transform`` weights each row on its own, so a lone
   request gets exactly the bytes of its row in any batch.
-* Transformers (BERT, RoBERTa): in the last ulp.  The encoder rows are
-  equal, but the pooler's ``(batch, dim)`` GEMM over the ``[CLS]`` rows
-  runs a different BLAS kernel for a single row than for several.
+* Transformers (BERT, RoBERTa): in the last ulp.  A batch runs at the
+  width of its longest real row, so the attention sums and GEMMs change
+  shape with the batch, and the ``(batch, dim)`` GEMMs over the ``[CLS]``
+  rows run a different BLAS kernel for a single row than for several.
 * LSTM: in the last ulp.  The recurrent ``(batch, hidden)`` GEMMs of every
   time step differ the same way.
 

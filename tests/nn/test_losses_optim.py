@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.dataloader import BatchIterator
+from repro.nn.dataloader import BatchIterator, trim_padding
 from repro.nn.losses import (
     accuracy_from_logits,
     cross_entropy_logits,
@@ -182,6 +182,16 @@ class TestBatchIterator:
         for _, _, labels in iterator:
             assert labels is None
 
+    def test_batches_cut_to_longest_real_row(self):
+        lengths = np.array([1, 5, 2, 3, 1, 2])
+        mask = (np.arange(8)[None, :] < lengths[:, None]).astype(float)
+        ids = np.where(mask > 0, 7, 0)
+        iterator = BatchIterator(ids, mask, np.arange(6), batch_size=2, shuffle=False)
+        for batch_ids, batch_mask, batch_labels in iterator:
+            width = lengths[batch_labels].max()
+            assert batch_ids.shape == batch_mask.shape == (2, width)
+            assert batch_mask.sum() == lengths[batch_labels].sum()
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             BatchIterator(np.zeros((4, 2)), np.ones((3, 2)))
@@ -189,3 +199,24 @@ class TestBatchIterator:
             BatchIterator(np.zeros((4, 2)), np.ones((4, 2)), np.arange(3))
         with pytest.raises(ValueError):
             BatchIterator(np.zeros((4, 2)), np.ones((4, 2)), batch_size=0)
+
+
+class TestTrimPadding:
+    def test_cuts_every_array_to_the_last_real_column(self):
+        mask = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
+        ids = np.arange(10).reshape(2, 5)
+        targets = ids + 100
+        cut_mask, cut_ids, cut_targets = trim_padding(mask, ids, targets)
+        assert np.array_equal(cut_mask, mask[:, :3])
+        assert np.array_equal(cut_ids, ids[:, :3])
+        assert np.array_equal(cut_targets, targets[:, :3])
+
+    def test_full_width_batch_is_unchanged(self):
+        mask = np.ones((3, 4))
+        (cut_mask,) = trim_padding(mask)
+        assert cut_mask.shape == (3, 4)
+
+    def test_all_padding_keeps_one_column(self):
+        mask = np.zeros((2, 6))
+        cut_mask, cut_ids = trim_padding(mask, np.zeros((2, 6), dtype=np.int64))
+        assert cut_mask.shape == cut_ids.shape == (2, 1)

@@ -122,6 +122,15 @@ class TestMultiHeadSelfAttention:
         # Outputs at real positions must not depend on the padded position's content.
         assert np.allclose(out_base[0, :3], out_variant[0, :3], atol=1e-8)
 
+    def test_cls_only_equals_row_zero_of_full_pass(self):
+        attention = MultiHeadSelfAttention(dim=8, num_heads=2, dropout=0.0, seed=5)
+        x = Tensor(np.random.default_rng(5).normal(size=(3, 6, 8)))
+        mask = (np.arange(6)[None, :] < np.array([[6], [2], [4]])).astype(float)
+        full = attention(x, mask=mask).data
+        cls = attention(x, mask=mask, cls_only=True).data
+        assert cls.shape == (3, 1, 8)
+        np.testing.assert_allclose(cls[:, 0], full[:, 0], rtol=0.0, atol=1e-14)
+
     def test_gradients_reach_projections(self):
         attention = MultiHeadSelfAttention(dim=8, num_heads=2, seed=4)
         x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 8)))

@@ -115,6 +115,62 @@ class TestTrainerEvaluate:
         assert 0.0 <= accuracy <= 1.0
 
 
+class _BatchRecorder(Module):
+    """Wraps a model and records every batch it is called with."""
+
+    def __init__(self, model):
+        super().__init__()
+        self.model = model
+        self.calls = []
+
+    def forward(self, ids, mask=None):
+        self.calls.append((ids.copy(), None if mask is None else mask.copy()))
+        return self.model(ids, mask=mask)
+
+
+def _mixed_length_batch(n=11, length=10, vocab=30, seed=4):
+    rng = np.random.default_rng(seed)
+    lengths = rng.permutation(np.arange(n) % (length - 1) + 1)
+    mask = (np.arange(length)[None, :] < lengths[:, None]).astype(float)
+    ids = np.where(mask > 0, rng.integers(4, vocab, size=(n, length)), 0)
+    return ids, mask
+
+
+class TestPredictLogitsOrder:
+    @pytest.fixture()
+    def trainer(self):
+        config = TransformerConfig(
+            vocab_size=30, max_length=10, dim=16, num_heads=2, num_layers=2, ffn_dim=32
+        )
+        model = _BatchRecorder(TransformerForSequenceClassification(config, num_classes=3))
+        return Trainer(model, Adam(model.parameters(), lr=1e-2))
+
+    def test_rows_come_back_in_input_order(self, trainer):
+        ids, mask = _mixed_length_batch()
+        logits = trainer.predict_logits(ids, mask, batch_size=4)
+        for row in range(len(ids)):
+            alone = trainer.predict_logits(ids[row : row + 1], mask[row : row + 1])
+            np.testing.assert_allclose(logits[row], alone[0], rtol=0.0, atol=1e-12)
+
+    def test_chunks_are_length_sorted_and_cut_to_longest_row(self, trainer):
+        ids, mask = _mixed_length_batch()
+        trainer.predict_logits(ids, mask, batch_size=4)
+        assert [len(batch_ids) for batch_ids, _ in trainer.model.calls] == [4, 4, 3]
+        lengths = [batch_mask.sum(axis=1) for _, batch_mask in trainer.model.calls]
+        flat = np.concatenate(lengths)
+        assert np.array_equal(flat, np.sort(mask.sum(axis=1), kind="stable"))
+        for (batch_ids, batch_mask), chunk in zip(trainer.model.calls, lengths):
+            assert batch_ids.shape == batch_mask.shape == (len(chunk), chunk.max())
+
+    def test_without_mask_rows_run_in_order_at_full_width(self, trainer):
+        ids, _ = _mixed_length_batch()
+        trainer.predict_logits(ids, None, batch_size=4)
+        seen = [batch_ids for batch_ids, _ in trainer.model.calls]
+        assert all(batch_mask is None for _, batch_mask in trainer.model.calls)
+        assert all(batch_ids.shape[1] == ids.shape[1] for batch_ids in seen)
+        assert np.array_equal(np.concatenate(seen), ids)
+
+
 def _fitted_transformer_trainer():
     ids, mask, labels = _toy_classification_data(n=48, length=10)
     config = TransformerConfig(

@@ -1,8 +1,12 @@
 """Tests for the Transformer encoder, MLM pretraining and serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.nn import mlm
+from repro.nn.losses import cross_entropy_logits, masked_cross_entropy_logits
 from repro.nn.mlm import MLMConfig, apply_mlm_masking, pretrain_mlm
 from repro.nn.serialization import load_model, save_model
 from repro.nn.transformer import (
@@ -72,6 +76,31 @@ class TestTransformerEncoder:
         ids = np.random.default_rng(1).integers(0, config.vocab_size, size=(4, 8))
         logits = model(ids, mask=np.ones((4, 8)))
         assert logits.shape == (4, 5)
+
+    def test_cls_only_matches_full_pass_in_values_and_gradients(self, config):
+        """The [CLS]-only last block leaves position 0 and every gradient as is."""
+        model = TransformerForSequenceClassification(replace(config, dropout=0.0), num_classes=3)
+        rng = np.random.default_rng(6)
+        ids = rng.integers(4, config.vocab_size, size=(4, 9))
+        mask = (np.arange(9)[None, :] < np.array([[9], [3], [6], [1]])).astype(float)
+        labels = np.array([0, 2, 1, 2])
+
+        def loss_and_grads(hidden_for):
+            model.zero_grad()
+            hidden = hidden_for(ids, mask)
+            logits = model.classifier(model.pooler(hidden[:, 0, :]).tanh())
+            cross_entropy_logits(logits, labels).backward()
+            grads = {name: p.grad.copy() for name, p in model.named_parameters()}
+            return hidden.data[:, 0, :], grads
+
+        cls_hidden, cls_grads = loss_and_grads(
+            lambda i, m: model.encoder(i, mask=m, cls_only=True)
+        )
+        full_hidden, full_grads = loss_and_grads(lambda i, m: model.encoder(i, mask=m))
+        np.testing.assert_allclose(cls_hidden, full_hidden, rtol=0.0, atol=1e-13)
+        assert cls_grads.keys() == full_grads.keys()
+        for name in full_grads:
+            np.testing.assert_allclose(cls_grads[name], full_grads[name], rtol=0.0, atol=1e-12)
 
     def test_classification_rejects_single_class(self, config):
         with pytest.raises(ValueError):
@@ -145,6 +174,37 @@ class TestMLMPretraining:
         assert len(result.losses_per_epoch) == 4
         assert result.losses_per_epoch[-1] < result.losses_per_epoch[0]
         assert result.total_steps == 4 * int(np.ceil(60 / 16))
+
+    def test_trimmed_minibatches_keep_every_loss_position(self, vocabulary, config, monkeypatch):
+        rng = np.random.default_rng(7)
+        lengths = rng.integers(2, config.max_length + 1, size=40)
+        mask = (np.arange(config.max_length)[None, :] < lengths[:, None]).astype(float)
+        starts = rng.integers(4, len(vocabulary) - config.max_length, size=40)
+        ids = np.where(mask > 0, starts[:, None] + np.arange(config.max_length), 0)
+
+        drawn, seen, widths = [], [], []
+
+        def recording_masking(*args):
+            result = apply_mlm_masking(*args)
+            drawn.append(result[2].sum())
+            return result
+
+        def recording_loss(logits, targets, loss_mask):
+            seen.append(loss_mask.sum())
+            widths.append(loss_mask.shape[1])
+            return masked_cross_entropy_logits(logits, targets, loss_mask)
+
+        monkeypatch.setattr(mlm, "apply_mlm_masking", recording_masking)
+        monkeypatch.setattr(mlm, "masked_cross_entropy_logits", recording_loss)
+        model = TransformerForMaskedLM(config)
+        result = pretrain_mlm(
+            model, ids, mask, vocabulary, MLMConfig(epochs=4, batch_size=8, peak_lr=5e-3, seed=0)
+        )
+        assert len(drawn) == 4
+        per_epoch = np.asarray(seen).reshape(4, -1).sum(axis=1)
+        assert np.array_equal(per_epoch, drawn)
+        assert min(widths) < config.max_length
+        assert result.losses_per_epoch[-1] < result.losses_per_epoch[0]
 
     def test_zero_epochs_is_a_noop(self, vocabulary, config):
         model = TransformerForMaskedLM(config)

@@ -12,10 +12,10 @@ The subsystem turns exported model bundles into a running inference layer:
 * :mod:`repro.serving.featurizer` — :class:`BatchFeaturizer`, the batch
   fast path of the service's miss traffic (one-pass tokenization with a
   shared item memo, bitwise-identical to the sequential path);
-* :mod:`repro.serving.cache` — :class:`ShardedResultCache`, the
-  epoch-guarded LRU result cache partitioned into independently-locked
-  stripes, which also hosts the single-flight registry coalescing identical
-  concurrent requests.
+* :mod:`repro.serving.cache` — :class:`ResultCache`, one map behind one
+  lock holding the epoch-guarded LRU of result rows and the pending entries
+  through which identical concurrent requests follow the unit computing
+  them (single-flight coalescing).
 """
 
 from repro.serving.bundle import (
@@ -24,16 +24,15 @@ from repro.serving.bundle import (
     load_bundles,
     validate_manifest,
 )
-from repro.serving.cache import InFlight, ShardedResultCache
+from repro.serving.cache import ResultCache
 from repro.serving.featurizer import BatchFeaturizer
 from repro.serving.service import PredictionService
 
 __all__ = [
     "BatchFeaturizer",
-    "InFlight",
     "ModelBundle",
     "PredictionService",
-    "ShardedResultCache",
+    "ResultCache",
     "discover_bundles",
     "load_bundles",
     "validate_manifest",

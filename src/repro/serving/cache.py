@@ -1,122 +1,121 @@
-"""Sharded, epoch-guarded LRU result cache for the prediction service.
+"""The prediction service's result map: cached rows and in-flight work.
 
-The original :class:`~repro.serving.service.PredictionService` cache was one
-``OrderedDict`` behind one lock — under Zipf hot-key traffic every request
-(hit or miss) serialized on that lock, and invalidating a hot-swapped model
-scanned the whole cache while holding it.  :class:`ShardedResultCache` keeps
-the exact same semantics (bounded LRU, per-model epochs guarding against
-caching a retired model's results, copies in and out) but partitions entries
-into N independently-locked **stripes** keyed by the hash of
-``(model_name, sequence)``:
+One lock guards one ``OrderedDict`` keyed by ``(model_name, sequence)``.
+Each entry is either
 
-* hits/misses on different stripes never contend;
-* hot-swap invalidation bumps the model's epoch first (so no racing writer
-  can sneak a stale result in afterwards) and then sweeps one stripe at a
-  time — each sweep holds only that stripe's lock.
+* a **row** (:class:`_Row`): a cached probability row and the model epoch
+  that computed it, kept in LRU order, at most ``capacity`` of them; or
+* a **pending** entry (:class:`_Pending`): the queued unit that is
+  computing the sequence right now, and the row index it lands at in
+  ``unit.result``.
 
-The capacity bound is enforced per stripe (``capacity // n_stripes`` each),
-so the total entry count never exceeds ``capacity``; a skewed key
-distribution can leave some stripes below their bound, which only means the
-cache is *smaller* than configured, never larger.
+A call *claims* its distinct sequences (:meth:`ResultCache.claim`).  Each
+is a hit (a row of the current epoch), a follow of another call's pending
+unit of the same epoch (single-flight coalescing), or a miss, which the
+call appends to its own unit and, with coalescing on, marks pending.  A
+follower waits on the unit's ``done`` event and copies its row out of
+``unit.result``, so a 32-row miss is one event, not 32.
 
-The cache also hosts the **single-flight registry** the prediction service
-coalesces identical concurrent requests through: per stripe, a small dict of
-:class:`InFlight` records keyed like cache entries.  The LRU only helps
-*after* the first result lands; single-flight covers the window *before* it
-— N concurrent requests for one hot key join one flight, the leader computes
-once and every follower shares the (copied) result.  Flight records carry
-the epoch they were opened under, so a hot-swap mid-flight is detected by
-comparing epochs at join and at completion — a flight opened against a
-retired model never satisfies a waiter.  Flights share the stripe locks, so
-coalescing adds no global serialization point.
+The batch worker completes a unit in one locked step
+(:meth:`ResultCache.complete`): its pending entries become rows, or are
+dropped when the unit failed, when its epoch was retired meanwhile, or when
+caching is off; then its waiters wake.
+
+Per-model epochs keep a retired model's rows from being served.
+:meth:`ResultCache.invalidate` only bumps the epoch, with no sweep: rows of
+an older epoch are never returned, the next miss of their key overwrites
+them, and the rest age out through the LRU.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
-from typing import Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["InFlight", "ShardedResultCache"]
+__all__ = ["ResultCache"]
 
 
-class InFlight:
-    """One in-progress computation other requests may wait on.
-
-    The leader (the caller :meth:`ShardedResultCache.join_flight` elected)
-    computes, then publishes through
-    :meth:`ShardedResultCache.finish_flight`, which sets ``value`` *or*
-    ``error`` before firing ``event``.  ``epoch`` is the model epoch the
-    flight was opened under — a follower must re-check it after the event:
-    a smaller-than-current epoch means a hot-swap landed mid-flight and the
-    result belongs to the retired model.
-    """
-
-    __slots__ = ("epoch", "event", "value", "error")
-
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.event = threading.Event()
-        self.value: np.ndarray | None = None
-        self.error: BaseException | None = None
+class _Row(NamedTuple):
+    epoch: int
+    value: np.ndarray
 
 
-class ShardedResultCache:
-    """An epoch-guarded LRU cache of probability rows, sharded N ways.
+class _Pending(NamedTuple):
+    #: The queued unit computing the sequence: it has ``model_name``,
+    #: ``epoch``, ``sequences``, ``result``, ``error`` and a ``done`` event.
+    unit: Any
+    index: int
+
+
+class ResultCache:
+    """An epoch-guarded LRU of probability rows plus the in-flight registry.
 
     Args:
-        capacity: Total bound on cached entries across all stripes
-            (0 disables caching entirely).
-        n_stripes: Number of independently-locked stripes.  Clamped to
-            ``capacity`` so every stripe can hold at least one entry.
+        capacity: Bound on cached rows (0 disables caching; pending entries
+            are not rows, so coalescing works either way).
     """
 
-    def __init__(self, capacity: int, n_stripes: int = 16) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if n_stripes < 1:
-            raise ValueError(f"n_stripes must be >= 1, got {n_stripes}")
         self.capacity = capacity
-        self.n_stripes = min(n_stripes, capacity) if capacity else n_stripes
-        self.stripe_capacity = (capacity // self.n_stripes) if capacity else 0
-        self._stripes: tuple[OrderedDict, ...] = tuple(
-            OrderedDict() for _ in range(self.n_stripes)
-        )
-        self._stripe_locks: tuple[threading.Lock, ...] = tuple(
-            threading.Lock() for _ in range(self.n_stripes)
-        )
-        #: Per-stripe single-flight registries (guarded by the stripe locks).
-        #: Independent of ``capacity`` — coalescing works with caching off.
-        self._flights: tuple[dict, ...] = tuple({} for _ in range(self.n_stripes))
-        #: Per-model epochs, bumped on hot-swap/removal.  A ``put`` carrying
-        #: an older epoch is silently dropped — the result was computed by a
-        #: model object that has since been retired.
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()
+        #: Row entries of any epoch; the other entries are pending.
+        self._rows = 0
+        #: Per-model epochs, bumped on hot-swap/removal.
         self._epochs: Counter = Counter()
-        self._epoch_lock = threading.Lock()
+        #: Per-model count of rows of the current epoch: the rows ``get``
+        #: would serve.
+        self._live: Counter = Counter()
 
     # ------------------------------------------------------------------
-    def _stripe_of(self, model_name: str, sequence: tuple[str, ...]) -> int:
-        # Per-process ``hash`` is fine here: stripe choice only has to be
-        # stable within the process, and tuple hashing is much cheaper than
-        # a content digest on the request hot path.
-        return hash((model_name, sequence)) % self.n_stripes
+    # internals; every one of them runs with the lock held
+    # ------------------------------------------------------------------
+    def _hit(self, key: tuple) -> np.ndarray | None:
+        entry = self._entries.get(key)
+        if type(entry) is not _Row or entry.epoch != self._epochs[key[0]]:
+            return None
+        self._entries.move_to_end(key)
+        return entry.value.copy()
 
+    def _replace(self, key: tuple, entry: "_Row | _Pending | None") -> None:
+        """Set the entry of *key* at the LRU's recent end (``None`` deletes
+        it), keeping the row counts.  Rows are only ever set at the current
+        epoch."""
+        old = self._entries.pop(key, None)
+        if type(old) is _Row:
+            self._rows -= 1
+            if old.epoch == self._epochs[key[0]]:
+                self._live[key[0]] -= 1
+        if entry is not None:
+            self._entries[key] = entry
+            if type(entry) is _Row:
+                self._rows += 1
+                self._live[key[0]] += 1
+
+    def _store(self, key: tuple, epoch: int, value: np.ndarray) -> bool:
+        if not self.capacity or epoch != self._epochs[key[0]]:
+            return False
+        self._replace(key, _Row(epoch, value.copy()))
+        while self._rows > self.capacity:
+            oldest, entry = next(iter(self._entries.items()))
+            if type(entry) is _Pending:
+                self._entries.move_to_end(oldest)  # in flight: not the LRU's
+            else:
+                self._replace(oldest, None)
+        return True
+
+    # ------------------------------------------------------------------
+    # rows
     # ------------------------------------------------------------------
     def get(self, model_name: str, sequence: tuple[str, ...]) -> np.ndarray | None:
-        """The cached row for ``(model_name, sequence)``, as a copy."""
-        if self.capacity == 0:
-            return None
-        index = self._stripe_of(model_name, sequence)
-        key = (model_name, sequence)
-        stripe = self._stripes[index]
-        with self._stripe_locks[index]:
-            value = stripe.get(key)
-            if value is None:
-                return None
-            stripe.move_to_end(key)
-            return value.copy()
+        """The current-epoch row for ``(model_name, sequence)``, as a copy."""
+        with self._lock:
+            return self._hit((model_name, sequence))
 
     def put(
         self,
@@ -127,142 +126,100 @@ class ShardedResultCache:
     ) -> bool:
         """Cache a copy of *value*; returns whether it was stored.
 
-        When *epoch* is given it must match the model's current epoch — the
-        check runs under the stripe lock, and :meth:`invalidate` bumps the
-        epoch *before* sweeping, so a racing stale writer either sees the new
-        epoch (and drops the write) or inserts before the sweep reaches the
-        stripe (and is swept).
+        A *value* computed under an *epoch* that is no longer the model's
+        current one is dropped: the model that computed it was retired.
         """
-        if self.capacity == 0:
-            return False
-        index = self._stripe_of(model_name, sequence)
-        key = (model_name, sequence)
-        stripe = self._stripes[index]
-        with self._stripe_locks[index]:
-            if epoch is not None and self.epoch(model_name) != epoch:
-                return False
-            stripe[key] = value.copy()
-            stripe.move_to_end(key)
-            while len(stripe) > self.stripe_capacity:
-                stripe.popitem(last=False)
-        return True
+        with self._lock:
+            if epoch is None:
+                epoch = self._epochs[model_name]
+            return self._store((model_name, sequence), epoch, value)
 
     # ------------------------------------------------------------------
-    # single-flight coalescing
+    # claim and complete
     # ------------------------------------------------------------------
-    def join_flight(
-        self, model_name: str, sequence: tuple[str, ...], epoch: int
-    ) -> "tuple[InFlight, bool]":
-        """Join (or open) the in-flight computation for a key.
+    def claim(
+        self, unit, sequences: Sequence[tuple[str, ...]], *, coalesce: bool = True
+    ) -> "tuple[dict, dict]":
+        """Sort *sequences* (distinct) of a call into hits, follows and misses.
 
-        Returns ``(flight, is_leader)``.  The leader owns the computation
-        and **must** call :meth:`finish_flight` (success or failure) so
-        followers never hang.  A caller only joins an existing flight whose
-        ``epoch`` matches its own — an epoch mismatch means the resident
-        flight was opened before a hot-swap; the caller opens a fresh
-        flight in its place and leads it (the displaced leader still
-        finishes its own record, which simply is no longer registered).
+        *unit* is the call's own, still empty, unit for
+        ``unit.model_name`` at ``unit.epoch``.  Returns ``(hits, follows)``:
+        ``hits`` maps a sequence to a copy of its row, ``follows`` maps a
+        sequence to the ``(unit, index)`` of another call's unit of the
+        same epoch that is computing it.  Every other sequence is a miss,
+        appended to ``unit.sequences`` and, with *coalesce*, marked pending
+        on *unit*, displacing a pending entry of another epoch.  The caller
+        must run *unit* through :meth:`complete`, or its followers hang.
         """
-        index = self._stripe_of(model_name, sequence)
-        key = (model_name, sequence)
-        flights = self._flights[index]
-        with self._stripe_locks[index]:
-            flight = flights.get(key)
-            if flight is not None and flight.epoch == epoch:
-                return flight, False
-            flight = InFlight(epoch)
-            flights[key] = flight
-            return flight, True
+        hits: dict = {}
+        follows: dict = {}
+        with self._lock:
+            for sequence in sequences:
+                key = (unit.model_name, sequence)
+                row = self._hit(key)
+                if row is not None:
+                    hits[sequence] = row
+                    continue
+                entry = self._entries.get(key)
+                if type(entry) is _Pending and entry.unit.epoch == unit.epoch:
+                    follows[sequence] = entry
+                    continue
+                if coalesce:
+                    self._replace(key, _Pending(unit, len(unit.sequences)))
+                unit.sequences.append(sequence)
+        return hits, follows
 
-    def finish_flight(
-        self,
-        model_name: str,
-        sequence: tuple[str, ...],
-        flight: "InFlight",
-        *,
-        value: np.ndarray | None = None,
-        error: BaseException | None = None,
-    ) -> None:
-        """Publish a flight's outcome and wake its followers.
+    def complete(self, unit) -> None:
+        """Publish a finished unit (``result`` or ``error`` set) and wake it.
 
-        Deregisters *flight* (only if it is still the registered record —
-        it may have been displaced by a newer-epoch flight), stores the
-        result as a copy (or the error), and fires the event.
+        Its pending entries become rows when it succeeded under the current
+        epoch and caching is on, and are dropped otherwise; an entry a
+        newer-epoch unit took over is left to that unit.
         """
-        index = self._stripe_of(model_name, sequence)
-        key = (model_name, sequence)
-        flights = self._flights[index]
-        with self._stripe_locks[index]:
-            if flights.get(key) is flight:
-                del flights[key]
-        if error is not None:
-            flight.error = error
-        elif value is not None:
-            flight.value = value.copy()
-        flight.event.set()
-
-    def inflight_count(self) -> int:
-        """Number of currently registered flights (diagnostics)."""
-        total = 0
-        for index in range(self.n_stripes):
-            with self._stripe_locks[index]:
-                total += len(self._flights[index])
-        return total
+        with self._lock:
+            for index, sequence in enumerate(unit.sequences):
+                key = (unit.model_name, sequence)
+                entry = self._entries.get(key)
+                if type(entry) is _Pending:
+                    if entry.unit is not unit:
+                        continue
+                    self._replace(key, None)
+                if unit.error is None:
+                    self._store(key, unit.epoch, unit.result[index])
+        unit.done.set()
 
     # ------------------------------------------------------------------
     # epochs and invalidation
     # ------------------------------------------------------------------
     def epoch(self, model_name: str) -> int:
-        with self._epoch_lock:
+        with self._lock:
             return self._epochs[model_name]
 
     def invalidate(self, model_name: str) -> int:
-        """Drop every entry of *model_name*; returns the number dropped.
+        """Retire every row of *model_name*; returns how many were live.
 
-        The epoch is bumped first (no new stale results can be cached after
-        this call starts), then each stripe is swept under its own lock — no
-        global pause of unrelated traffic.
+        O(1): the epoch bump alone makes them unservable, and a unit still
+        computing under the old epoch caches nothing when it completes.
         """
-        with self._epoch_lock:
+        with self._lock:
             self._epochs[model_name] += 1
-        dropped = 0
-        for index in range(self.n_stripes):
-            stripe = self._stripes[index]
-            with self._stripe_locks[index]:
-                stale = [key for key in stripe if key[0] == model_name]
-                for key in stale:
-                    del stripe[key]
-                dropped += len(stale)
-        return dropped
-
-    def clear(self) -> None:
-        """Drop every entry (epochs are kept)."""
-        for index in range(self.n_stripes):
-            with self._stripe_locks[index]:
-                self._stripes[index].clear()
+            return self._live.pop(model_name, 0)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        total = 0
-        for index in range(self.n_stripes):
-            with self._stripe_locks[index]:
-                total += len(self._stripes[index])
-        return total
+        """Rows ``get`` would serve (retired rows are not counted)."""
+        with self._lock:
+            return sum(self._live.values())
 
-    def stripe_sizes(self) -> Sequence[int]:
-        """Current entry count of each stripe (diagnostics)."""
-        sizes = []
-        for index in range(self.n_stripes):
-            with self._stripe_locks[index]:
-                sizes.append(len(self._stripes[index]))
-        return sizes
+    def inflight_count(self) -> int:
+        """Sequences currently pending on a unit (diagnostics)."""
+        with self._lock:
+            return len(self._entries) - self._rows
 
     def stats(self) -> dict:
-        """JSON-safe snapshot: totals plus the stripe layout."""
+        """JSON-safe snapshot of the rows and in-flight sequences."""
         return {
             "entries": len(self),
             "capacity": self.capacity,
-            "stripes": self.n_stripes,
-            "stripe_capacity": self.stripe_capacity,
             "in_flight": self.inflight_count(),
         }

@@ -10,8 +10,9 @@ request (:meth:`~PredictionService.predict_proba`) is a batch of one.
 * An **LRU result cache** short-circuits repeated sequences, and
   **single-flight coalescing** covers the window the cache cannot: N
   concurrent requests for one sequence trigger one featurize+predict, every
-  waiter shares the (copied) result.  A request's repeated sequences are
-  deduplicated first, so it never waits on its own flight.
+  waiter copies its row out of the one unit computing it.  Both live in one
+  map, :class:`~repro.serving.cache.ResultCache`.  A request's repeated
+  sequences are deduplicated first, so it never waits on its own unit.
 * The remaining misses of one call enter a bounded queue as **one unit**,
   and a worker thread flushes queued units as one model pass.  Concurrent
   callers are **naturally batched**: the worker never waits for a batch to
@@ -59,7 +60,7 @@ from repro.pipeline.engine import CorpusEngine
 from repro.pipeline.fingerprint import sequence_key
 from repro.pipeline.store import FeatureStore, _save_json
 from repro.serving.bundle import ModelBundle, load_bundles
-from repro.serving.cache import InFlight, ShardedResultCache
+from repro.serving.cache import ResultCache
 from repro.serving.featurizer import BatchFeaturizer
 from repro.trace import current_span_id, current_trace
 
@@ -77,7 +78,8 @@ class _Request:
     The unit carries the resolved model object and its cache epoch, so it is
     **pinned** at submission time: a concurrent hot-swap or removal of the
     name cannot change (or break) what this unit predicts against, and its
-    rows are never cached for the successor model.
+    rows are never cached for the successor model.  Calls that follow one
+    of its sequences wait on ``done`` and read their row from ``result``.
     """
 
     model_name: str
@@ -117,20 +119,18 @@ class PredictionService:
             already queued; it never waits for more, and never splits a
             unit.
         coalesce: Single-flight coalescing of identical concurrent sequences
-            (default on): the first request for a ``(model, sequence)`` key
-            computes, concurrent duplicates wait on it and share a copy of
-            the result — one model pass instead of N.  Hot-swaps mid-flight
-            are epoch-guarded: a flight started against a retired model
-            version never satisfies its waiters.
-        cache_size: Bound on the LRU result cache (0 disables caching;
-            coalescing works either way).
-        cache_stripes: Number of independently-locked stripes the result
-            cache is sharded into (clamped to ``cache_size``), so hot-key
-            traffic does not serialize on one lock.
+            (default on): the first call to miss a ``(model, sequence)`` key
+            computes it in its unit; concurrent duplicates wait on that unit
+            and take a copy of its row — one model pass instead of N.
+            Hot-swaps mid-flight are epoch-guarded: a unit started against
+            a retired model version never satisfies its followers.
+        cache_size: Bound on the rows of the LRU result cache (0 disables
+            caching; coalescing works either way).  A hot-swap or removal
+            retires the name's rows at once, without a sweep.
         queue_size: Bound on the request queue; when full, callers block
             until the worker drains it (backpressure).
         request_timeout: Seconds a predict call waits for its unit, or for a
-            flight it follows, before raising ``TimeoutError``.
+            unit it follows, before raising ``TimeoutError``.
     """
 
     def __init__(
@@ -142,7 +142,6 @@ class PredictionService:
         max_batch_size: int = 32,
         coalesce: bool = True,
         cache_size: int = 2048,
-        cache_stripes: int = 16,
         queue_size: int = 4096,
         request_timeout: float = 60.0,
     ) -> None:
@@ -171,9 +170,9 @@ class PredictionService:
         self._submit_lock = threading.Lock()
         self._closed = False
 
-        #: Sharded, epoch-guarded LRU of probability rows — per-model epochs
-        #: guard against caching a retired model's result.
-        self._result_cache = ShardedResultCache(cache_size, n_stripes=cache_stripes)
+        #: Epoch-guarded LRU of probability rows and the units computing
+        #: the missing ones.
+        self._result_cache = ResultCache(cache_size)
         #: Batch fast path for miss-traffic featurization (shared item memo).
         self._featurizer = BatchFeaturizer()
 
@@ -184,8 +183,6 @@ class PredictionService:
             name: Histogram()
             for name in sorted((*_TIMED_STAGES, "queue_depth", "batch_size"))
         }
-        self._stats_lock = threading.Lock()
-        self._largest_batch = 0
 
         for name, model in (models or {}).items():
             self.add_model(model, name=name)
@@ -221,9 +218,6 @@ class PredictionService:
         replaced = self._models.get(name)
         self._models[name] = model
         if replaced is not None and replaced is not model:
-            # Per-stripe sweep: bumps the epoch first, then drops this name's
-            # entries one stripe at a time — unrelated traffic never waits on
-            # a whole-cache scan.
             self._result_cache.invalidate(name)
         return name
 
@@ -334,23 +328,6 @@ class PredictionService:
         return seeded
 
     # ------------------------------------------------------------------
-    # result cache
-    # ------------------------------------------------------------------
-    def _model_epoch(self, model_name: str) -> int:
-        return self._result_cache.epoch(model_name)
-
-    def _cache_put(
-        self,
-        model_name: str,
-        sequence: tuple[str, ...],
-        value: np.ndarray,
-        epoch: int | None = None,
-    ) -> None:
-        # A put carrying a stale epoch (computed by a model hot-swapped away
-        # mid-flight) is silently dropped by the cache.
-        self._result_cache.put(model_name, sequence, value, epoch=epoch)
-
-    # ------------------------------------------------------------------
     # batch worker
     # ------------------------------------------------------------------
     def _ensure_worker(self) -> None:
@@ -415,11 +392,7 @@ class PredictionService:
             )
             groups.setdefault((request.model_name, id(request.model)), []).append(request)
         self._stages["batch_size"].record(rows)
-        self._counters.increment("batches_flushed")
-        self._counters.increment("batched_requests", rows)
-        with self._stats_lock:
-            self._largest_batch = max(self._largest_batch, rows)
-        for (model_name, _), requests in groups.items():
+        for requests in groups.values():
             try:
                 probabilities, stamps = self._predict_group(
                     requests[0].model,
@@ -428,16 +401,14 @@ class PredictionService:
             except BaseException as exc:  # surfaced to every waiting caller
                 for request in requests:
                     request.error = exc
-                    request.done.set()
+                    self._result_cache.complete(request)
                 continue
             offset = 0
             for request in requests:
                 request.result = probabilities[offset : offset + len(request.sequences)]
                 offset += len(request.sequences)
-                for sequence, row in zip(request.sequences, request.result):
-                    self._cache_put(model_name, sequence, row, epoch=request.epoch)
                 request.started, request.featurized, request.predicted = stamps
-                request.done.set()
+                self._result_cache.complete(request)
 
     def _run_unit(self, unit: _Request, inline: bool) -> None:
         """Queue *unit* for the worker (or run it here) and wait for its rows."""
@@ -446,8 +417,13 @@ class PredictionService:
             self._process_batch([unit])
         else:
             with self._submit_lock:
-                self._ensure_open()  # re-checked: no submission after the sentinel
-                self._ensure_worker()
+                try:
+                    self._ensure_open()  # re-checked: no submission after the sentinel
+                    self._ensure_worker()
+                except RuntimeError as exc:
+                    unit.error = exc
+                    self._result_cache.complete(unit)  # never strand its followers
+                    raise
                 self._queue.put(unit)
             if not unit.done.wait(timeout=self.request_timeout):
                 raise TimeoutError(
@@ -492,10 +468,10 @@ class PredictionService:
         """Class-probability matrix for a batch of raw sequences.
 
         Each distinct sequence is a cache hit, a follower of an identical
-        sequence some other call is computing (when ``coalesce`` is on), or
-        a miss.  The misses go to the batch worker as one unit, which may
-        share its model pass with concurrent units.  After :meth:`close`,
-        new submissions are rejected with ``RuntimeError``.
+        sequence some other call's unit is computing (when ``coalesce`` is
+        on), or a miss.  The misses go to the batch worker as one unit,
+        which may share its model pass with concurrent units.  After
+        :meth:`close`, new submissions are rejected with ``RuntimeError``.
 
         Args:
             inline: Run the misses' model pass on the calling thread instead
@@ -507,7 +483,7 @@ class PredictionService:
         # stale model's result fails the epoch check and is not cached.  The
         # reverse order would cache the old model's output under the new
         # epoch.
-        epoch = self._model_epoch(model_name)
+        epoch = self._result_cache.epoch(model_name)
         model = self._require_model(model_name)
         validated = [self._validated(sequence) for sequence in sequences]
         if not validated:
@@ -517,67 +493,43 @@ class PredictionService:
         rows: dict[tuple[str, ...], np.ndarray] = {}
         units: list[_Request] = []
         followed = False
-        pending = list(dict.fromkeys(validated))  # never wait on our own flight
+        pending = list(dict.fromkeys(validated))  # never follow our own unit
         while pending:
-            leaders: dict[tuple[str, ...], InFlight | None] = {}
-            followers: dict[tuple[str, ...], InFlight] = {}
-            for sequence in pending:
-                cached = self._result_cache.get(model_name, sequence)
-                if cached is not None:
-                    self._counters.increment("cache_hits")
-                    rows[sequence] = cached
-                elif not self.coalesce:
-                    leaders[sequence] = None
-                else:
-                    flight, is_leader = self._result_cache.join_flight(
-                        model_name, sequence, epoch
-                    )
-                    (leaders if is_leader else followers)[sequence] = flight
-            if leaders:
-                self._counters.increment("cache_misses", len(leaders))
-                unit = _Request(model_name, list(leaders), model, epoch)
-                try:
-                    self._run_unit(unit, inline)
-                except BaseException as exc:
-                    # Followers share the leader's fate — never hang them.
-                    for sequence, flight in leaders.items():
-                        if flight is not None:
-                            self._result_cache.finish_flight(
-                                model_name, sequence, flight, error=exc
-                            )
-                    raise
+            unit = _Request(model_name, [], model, epoch)
+            hits, follows = self._result_cache.claim(
+                unit, pending, coalesce=self.coalesce
+            )
+            self._counters.increment("cache_hits", len(hits))
+            rows.update(hits)
+            if unit.sequences:
+                self._counters.increment("cache_misses", len(unit.sequences))
+                self._run_unit(unit, inline)
                 units.append(unit)
-                for (sequence, flight), row in zip(leaders.items(), unit.result):
-                    rows[sequence] = row
-                    if flight is not None:
-                        self._result_cache.finish_flight(
-                            model_name, sequence, flight, value=row
-                        )
-            # Followers wait only after this call's own flights are finished,
-            # so two calls following each other's sequences cannot deadlock.
-            followed = followed or bool(followers)
+                rows.update(zip(unit.sequences, unit.result))
+            # Followers wait only after this call's own unit is done, so two
+            # calls following each other's sequences cannot deadlock.
+            followed = followed or bool(follows)
             pending = []
-            for sequence, flight in followers.items():
-                if not flight.event.wait(timeout=self.request_timeout):
+            for sequence, (leader, index) in follows.items():
+                if not leader.done.wait(timeout=self.request_timeout):
                     raise TimeoutError(
                         f"prediction for model {model_name!r} timed out after "
                         f"{self.request_timeout}s (coalesced)"
                     )
-                if flight.epoch != self._model_epoch(model_name):
+                if leader.epoch != self._result_cache.epoch(model_name):
                     # A hot-swap landed mid-flight: the leader computed
                     # against the retired model version.  The leader's own
                     # caller keeps its pinned result; followers retry
                     # against the current model.
                     self._counters.increment("coalesced_stale")
                     pending.append(sequence)
-                elif flight.error is not None:
-                    raise flight.error
+                elif leader.error is not None:
+                    raise leader.error
                 else:
                     self._counters.increment("coalesced_hits")
-                    assert flight.value is not None
-                    rows[sequence] = flight.value.copy()
+                    rows[sequence] = leader.result[index].copy()
             if pending:
-                epoch = self._model_epoch(model_name)
+                epoch = self._result_cache.epoch(model_name)
                 model = self._require_model(model_name)
         end = time.perf_counter()
         self._latency.record(end - start, count=len(validated))
@@ -647,10 +599,10 @@ class PredictionService:
             for name, count in counters.items()
             if name.startswith("requests:")
         }
-        batches = counters.get("batches_flushed", 0)
-        batched = counters.get("batched_requests", 0)
-        with self._stats_lock:
-            largest = self._largest_batch
+        # One record per flush: the batch_size histogram's count, total and
+        # max are exact.
+        flushes = self._stages["batch_size"].snapshot(seconds=False)
+        batches, batched = flushes["count"], int(flushes["total"])
         # Every count below is of sequences, not calls: a batch of N is N
         # requests, and a flush's size is the sequences it ran.
         payload = {
@@ -658,15 +610,15 @@ class PredictionService:
             "requests_by_model": requests,
             "cache_hits": counters.get("cache_hits", 0),
             "cache_misses": counters.get("cache_misses", 0),
-            #: Sequences served by joining another call's in-flight
-            #: computation (single-flight), and waits retried because a
-            #: hot-swap landed mid-flight.
+            #: Sequences served by following another call's unit
+            #: (single-flight), and waits retried because a hot-swap landed
+            #: mid-flight.
             "coalesced_hits": counters.get("coalesced_hits", 0),
             "coalesced_stale": counters.get("coalesced_stale", 0),
             "batches_flushed": batches,
             "batched_requests": batched,
             "mean_batch_size": (batched / batches) if batches else 0.0,
-            "largest_batch": largest,
+            "largest_batch": int(flushes["max"]),
             "latency": self._latency.snapshot(),
             #: Per-stage split of the batch wall clock: queue_wait (submit →
             #: batch drained), featurize (tokens), predict (encode + model) —
@@ -724,7 +676,7 @@ class PredictionService:
                 item.error = RuntimeError(
                     "prediction service is closed and no longer accepts requests"
                 )
-                item.done.set()
+                self._result_cache.complete(item)
 
     def __enter__(self) -> "PredictionService":
         return self

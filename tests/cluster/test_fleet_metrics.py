@@ -7,6 +7,8 @@ import pytest
 
 from repro.cluster.metrics import merge_health_snapshots
 from repro.observability import HISTOGRAM_ALPHA, Histogram, merge_histograms
+from repro.serving.cache import ResultCache
+from repro.serving.service import _Request
 
 
 class TestScalarMerging:
@@ -53,6 +55,24 @@ class TestScalarMerging:
             ]
         )
         assert merged["routes"]["cuisine"]["eval"]["code"] == -1
+
+    def test_service_cache_block_sums(self):
+        """Each worker's result-cache block is its own rows, capacity and
+        in-flight sequences, so the fleet's is their sum."""
+        blocks = []
+        for rows, pending in ((3, 1), (5, 2)):
+            cache = ResultCache(capacity=64)
+            for index in range(rows):
+                cache.put("m", (f"seq-{index}",), np.zeros(2))
+            unit = _Request("m", [], None, cache.epoch("m"))
+            cache.claim(unit, [(f"new-{index}",) for index in range(pending)])
+            blocks.append(cache.stats())
+        merged = merge_health_snapshots([{"service": {"cache": b}} for b in blocks])
+        assert merged["service"]["cache"] == {
+            "entries": 8,
+            "capacity": 128,
+            "in_flight": 3,
+        }
 
     def test_disagreeing_strings_become_sorted_set(self):
         """Mid-rolling-restart the fleet may serve two versions at once."""

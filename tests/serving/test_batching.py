@@ -11,6 +11,7 @@ import pytest
 from repro.models.registry import create_model
 from repro.serving import PredictionService
 from repro.serving.featurizer import BatchFeaturizer
+from repro.serving.service import _Request
 from tests.serving.conftest import WAIT_SECONDS
 
 MODELS = ("logreg", "naive_bayes")
@@ -53,21 +54,20 @@ def _call_in_thread(target, *args) -> threading.Thread:
 
 
 def _count_followers(service, count: int) -> threading.Event:
-    """An event set once *count* flight joins found a leader to follow."""
-    joined = threading.Event()
-    followers: list = []
-    join = service._result_cache.join_flight
+    """An event set once claims have found *count* sequences to follow."""
+    followed = threading.Event()
+    seen: list = []
+    claim = service._result_cache.claim
 
-    def counting(*args):
-        flight, is_leader = join(*args)
-        if not is_leader:
-            followers.append(flight)
-            if len(followers) >= count:
-                joined.set()
-        return flight, is_leader
+    def counting(*args, **kwargs):
+        hits, follows = claim(*args, **kwargs)
+        seen.extend(follows)
+        if len(seen) >= count:
+            followed.set()
+        return hits, follows
 
-    service._result_cache.join_flight = counting
-    return joined
+    service._result_cache.claim = counting
+    return followed
 
 
 class TestNaturalBatching:
@@ -139,6 +139,10 @@ class TestNaturalBatching:
         # longer than max_batch_size and runs as a flush of its own.
         assert gate.rows == [1, 3, 2, 6]
         assert stats["largest_batch"] == 6
+        # The flush counts are read off the one batch_size record.
+        assert stats["batches_flushed"] == len(gate.rows)
+        assert stats["batched_requests"] == sum(gate.rows)
+        assert stats["mean_batch_size"] == sum(gate.rows) / len(gate.rows)
 
     def test_close_drains_every_queued_request(
         self, fitted_models, sequences, gate_pass
@@ -282,8 +286,8 @@ class TestCoalescing:
 
 class TestBatchCoalescing:
     """Explicit batches share single-flight with each other and dedup
-    themselves.  The model pass is gated on an event and follower joins are
-    counted through ``join_flight``, so nothing waits on the clock."""
+    themselves.  The model pass is gated on an event and follows are
+    counted through ``claim``, so nothing waits on the clock."""
 
     def test_identical_concurrent_batches_run_one_pass(
         self, fitted_models, sequences, gate_pass
@@ -358,6 +362,28 @@ class TestBatchCoalescing:
         assert errors[0] is not None and "boom" in str(errors[0])
         assert errors[1] is errors[0]
 
+    def test_refused_submission_strands_no_follower(self, fitted_models, sequences):
+        """A call that claimed its misses and then finds the service closed
+        completes its unit with the error, so its followers wake and no
+        pending entry is left behind."""
+        service = PredictionService({"m": fitted_models["logreg"]}, cache_size=0)
+        claim = service._result_cache.claim
+        follows: dict = {}
+
+        def claim_then_close(unit, pending, **kwargs):
+            claimed = claim(unit, pending, **kwargs)
+            follower = _Request("m", [], unit.model, unit.epoch)
+            follows.update(claim(follower, pending)[1])
+            service.close()  # lands between the claim and the submission
+            return claimed
+
+        service._result_cache.claim = claim_then_close
+        with pytest.raises(RuntimeError, match="closed"):
+            service.predict_proba("m", sequences[0])
+        leader = follows[sequences[0]].unit
+        assert leader.done.is_set()
+        assert isinstance(leader.error, RuntimeError)
+        assert service._result_cache.inflight_count() == 0
 
     def test_overlapping_batches_under_thread_churn(self, fitted_models, sequences):
         """Stress: more callers than cores sending overlapping batches with

@@ -150,12 +150,12 @@ class TestCaching:
         """A result computed before a hot-swap must not be cached after it
         (the epoch guard), even though it is still returned to its caller."""
         with PredictionService.from_export_dir(export_dir) as service:
-            stale_epoch = service._model_epoch("logreg")
+            stale_epoch = service._result_cache.epoch("logreg")
             row = service._models["logreg"].predict_proba_sequences(
                 [request_sequences[0]]
             )[0]
             service.add_model(service._models["naive_bayes"], name="logreg")
-            service._cache_put(
+            service._result_cache.put(
                 "logreg", tuple(request_sequences[0]), row, epoch=stale_epoch
             )
             assert service.stats()["cached_entries"] == 0
@@ -469,14 +469,12 @@ class TestObservability:
         assert cursor <= batch.start_ms + batch.duration_ms + 1e-9
 
     def test_cache_stats_exposed(self, export_dir, request_sequences):
-        with PredictionService.from_export_dir(
-            export_dir, cache_size=64, cache_stripes=8
-        ) as service:
+        with PredictionService.from_export_dir(export_dir, cache_size=64) as service:
             service.predict_proba_batch("logreg", request_sequences[:4])
             cache = service.stats()["cache"]
             assert cache["capacity"] == 64
-            assert cache["stripes"] == 8
             assert cache["entries"] == 4
+            assert cache["in_flight"] == 0
 
 
 class TestCorpusWarm:

@@ -1,5 +1,7 @@
-"""Tests for the sharded, epoch-guarded result cache — unit semantics plus
-a 16-thread hammer across hot-swaps (no stale-epoch entry may survive)."""
+"""Tests for the epoch-guarded result cache: row semantics, O(1)
+invalidation, the claim/complete protocol coalescing identical concurrent
+sequences, and a 16-thread hammer across hot-swaps (no stale-epoch row may
+ever be served)."""
 
 import threading
 import time
@@ -10,66 +12,68 @@ import pytest
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.models.registry import create_model
 from repro.serving import PredictionService
-from repro.serving.cache import ShardedResultCache
+from repro.serving.cache import ResultCache
+from repro.serving.service import _Request
 
 
 def _row(value):
     return np.asarray([float(value)])
 
 
+def _unit(epoch=0, model_name="m"):
+    """An empty unit, as ``predict_proba_batch`` builds one per claim."""
+    return _Request(model_name, [], None, epoch)
+
+
+def _finish(cache, unit, *values):
+    """Complete *unit* the way the batch worker does, one row per value."""
+    unit.result = np.asarray([[float(value)] for value in values])
+    cache.complete(unit)
+
+
 class TestBasicSemantics:
     def test_put_get_roundtrip(self):
-        cache = ShardedResultCache(capacity=64)
+        cache = ResultCache(capacity=64)
         assert cache.put("m", ("a",), _row(1))
         np.testing.assert_array_equal(cache.get("m", ("a",)), _row(1))
 
     def test_miss_returns_none(self):
-        assert ShardedResultCache(capacity=64).get("m", ("a",)) is None
+        assert ResultCache(capacity=64).get("m", ("a",)) is None
 
     def test_get_returns_copy(self):
-        cache = ShardedResultCache(capacity=64)
+        cache = ResultCache(capacity=64)
         cache.put("m", ("a",), _row(1))
         first = cache.get("m", ("a",))
         first[0] = 99.0
         np.testing.assert_array_equal(cache.get("m", ("a",)), _row(1))
 
     def test_put_stores_copy(self):
-        cache = ShardedResultCache(capacity=64)
+        cache = ResultCache(capacity=64)
         value = _row(1)
         cache.put("m", ("a",), value)
         value[0] = 99.0
         np.testing.assert_array_equal(cache.get("m", ("a",)), _row(1))
 
     def test_zero_capacity_disables(self):
-        cache = ShardedResultCache(capacity=0)
+        cache = ResultCache(capacity=0)
         assert not cache.put("m", ("a",), _row(1))
         assert cache.get("m", ("a",)) is None
         assert len(cache) == 0
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
-            ShardedResultCache(capacity=-1)
-        with pytest.raises(ValueError, match="n_stripes"):
-            ShardedResultCache(capacity=8, n_stripes=0)
+            ResultCache(capacity=-1)
 
 
 class TestBounds:
     def test_total_entries_never_exceed_capacity(self):
-        cache = ShardedResultCache(capacity=32, n_stripes=8)
+        cache = ResultCache(capacity=32)
         for index in range(500):
             cache.put("m", (f"seq-{index}",), _row(index))
         assert len(cache) <= 32
 
-    def test_stripes_clamped_to_capacity(self):
-        cache = ShardedResultCache(capacity=4, n_stripes=16)
-        assert cache.n_stripes == 4
-        assert cache.stripe_capacity == 1
-        for index in range(100):
-            cache.put("m", (f"seq-{index}",), _row(index))
-        assert len(cache) <= 4
-
     def test_lru_eviction_within_stripe(self):
-        cache = ShardedResultCache(capacity=2, n_stripes=1)
+        cache = ResultCache(capacity=2)
         cache.put("m", ("a",), _row(1))
         cache.put("m", ("b",), _row(2))
         cache.get("m", ("a",))  # refresh a
@@ -78,31 +82,46 @@ class TestBounds:
         assert cache.get("m", ("b",)) is None
         assert cache.get("m", ("c",)) is not None
 
-    def test_stripe_sizes_sum_to_len(self):
-        cache = ShardedResultCache(capacity=64, n_stripes=8)
+    def test_pending_entries_are_never_evicted(self):
+        """Pending entries share the map with rows but are not rows: the
+        LRU bound skips them, so a full cache never strands a follower."""
+        cache = ResultCache(capacity=2)
+        unit = _unit()
+        cache.claim(unit, [(f"seq-{index}",) for index in range(5)])
+        for index in range(10):
+            cache.put("m", (f"row-{index}",), _row(index))
+        assert cache.stats() == {"entries": 2, "capacity": 2, "in_flight": 5}
+        follower = _unit()
+        _, follows = cache.claim(follower, [("seq-4",)])
+        assert follows[("seq-4",)].unit is unit
+        assert follows[("seq-4",)].index == 4
+        assert follower.sequences == []
+
+    def test_len_counts_only_servable_rows(self):
+        cache = ResultCache(capacity=64)
         for index in range(40):
             cache.put("m", (f"seq-{index}",), _row(index))
-        assert sum(cache.stripe_sizes()) == len(cache)
+        for index in range(5):
+            cache.put("other", (f"seq-{index}",), _row(index))
+        assert len(cache) == 45
+        cache.invalidate("m")
+        assert len(cache) == 5
+        # A retired row overwritten at the new epoch counts once.
+        cache.put("m", ("seq-0",), _row(0))
+        cache.put("m", ("fresh",), _row(1))
+        assert len(cache) == 7
+        assert cache.stats()["entries"] == 7
 
     def test_stats_payload(self):
-        cache = ShardedResultCache(capacity=64, n_stripes=8)
+        cache = ResultCache(capacity=64)
         cache.put("m", ("a",), _row(1))
         stats = cache.stats()
-        assert stats == {
-            "entries": 1,
-            "capacity": 64,
-            "stripes": 8,
-            "stripe_capacity": 8,
-            "in_flight": 0,
-        }
+        assert stats == {"entries": 1, "capacity": 64, "in_flight": 0}
 
 
 class TestEpochsAndInvalidation:
     def test_invalidate_drops_only_named_model(self):
-        # stripe_capacity must cover every entry landing in one stripe even
-        # under an adversarial PYTHONHASHSEED, or LRU eviction (not
-        # invalidation) drops entries and the counts below flake.
-        cache = ShardedResultCache(capacity=640)
+        cache = ResultCache(capacity=640)
         for index in range(10):
             cache.put("old", (f"seq-{index}",), _row(index))
             cache.put("other", (f"seq-{index}",), _row(index))
@@ -113,31 +132,64 @@ class TestEpochsAndInvalidation:
         assert cache.get("old", ("seq-3",)) is None
 
     def test_invalidate_bumps_epoch(self):
-        cache = ShardedResultCache(capacity=64)
+        cache = ResultCache(capacity=64)
         before = cache.epoch("m")
         cache.invalidate("m")
         assert cache.epoch("m") == before + 1
 
     def test_stale_epoch_put_dropped(self):
-        cache = ShardedResultCache(capacity=64)
+        cache = ResultCache(capacity=64)
         stale = cache.epoch("m")
         cache.invalidate("m")
         assert not cache.put("m", ("a",), _row(1), epoch=stale)
         assert cache.get("m", ("a",)) is None
 
     def test_current_epoch_put_stored(self):
-        cache = ShardedResultCache(capacity=64)
+        cache = ResultCache(capacity=64)
         cache.invalidate("m")
         assert cache.put("m", ("a",), _row(1), epoch=cache.epoch("m"))
         assert cache.get("m", ("a",)) is not None
 
-    def test_clear_keeps_epochs(self):
-        cache = ShardedResultCache(capacity=64)
-        cache.invalidate("m")
-        cache.put("m", ("a",), _row(1))
-        cache.clear()
+    def test_invalidate_does_no_per_entry_work(self):
+        """O(1) invalidation, checked structurally: with 20,000 rows cached,
+        the entry map is left exactly as it was, yet none of them is served."""
+        cache = ResultCache(capacity=32_768)
+        for index in range(20_000):
+            cache.put("m", (f"seq-{index}",), _row(index))
+        before = list(cache._entries.items())
+        assert cache.invalidate("m") == 20_000
+        after = list(cache._entries.items())
+        assert len(after) == len(before) == 20_000
+        assert all(
+            key == old_key and entry is old_entry
+            for (key, entry), (old_key, old_entry) in zip(after, before)
+        )
         assert len(cache) == 0
-        assert cache.epoch("m") == 1
+        assert cache.get("m", ("seq-0",)) is None
+
+    def test_retired_row_is_never_returned(self):
+        cache = ResultCache(capacity=64)
+        cache.put("m", ("a",), _row(1))
+        cache.invalidate("m")
+        assert cache.get("m", ("a",)) is None
+        unit = _unit(epoch=cache.epoch("m"))
+        hits, follows = cache.claim(unit, [("a",)])
+        assert hits == {} and follows == {}
+        assert unit.sequences == [("a",)]  # a miss, computed afresh
+        _finish(cache, unit, 2)
+        np.testing.assert_array_equal(cache.get("m", ("a",)), _row(2))
+
+    def test_stale_epoch_completion_dropped(self):
+        """A unit that was computing when its model was retired caches
+        nothing, frees its pending entries and still wakes its waiters."""
+        cache = ResultCache(capacity=64)
+        unit = _unit(epoch=cache.epoch("m"))
+        cache.claim(unit, [("a",), ("b",)])
+        cache.invalidate("m")
+        _finish(cache, unit, 1, 2)
+        assert unit.done.is_set()
+        assert cache.get("m", ("a",)) is None
+        assert cache.stats() == {"entries": 0, "capacity": 64, "in_flight": 0}
 
 
 class TestConcurrentHotSwap:
@@ -145,7 +197,7 @@ class TestConcurrentHotSwap:
         """16 writer threads race repeated invalidations; afterwards every
         surviving entry must carry the final epoch — an entry tagged with an
         older epoch would be a stale-epoch hit."""
-        cache = ShardedResultCache(capacity=4096, n_stripes=16)
+        cache = ResultCache(capacity=4096)
         keys = [(f"seq-{index}",) for index in range(64)]
         stop = threading.Event()
         failures: list[str] = []
@@ -174,11 +226,12 @@ class TestConcurrentHotSwap:
         for thread in threads:
             thread.join()
         final_epoch = cache.epoch("m")
-        for stripe in cache._stripes:
-            for value in list(stripe.values()):
-                assert value[0] == final_epoch, (
-                    f"stale-epoch entry survived: epoch {value[0]} != {final_epoch}"
-                )
+        served = [cache.get("m", key) for key in keys]
+        for value in served:
+            assert value is None or value[0] == final_epoch, (
+                f"stale-epoch row served: epoch {value[0]} != {final_epoch}"
+            )
+        assert len(cache) == sum(value is not None for value in served)
         assert not failures
 
     def test_service_hot_swap_under_concurrent_load(self, tiny_corpus, tmp_path):
@@ -230,54 +283,82 @@ class TestConcurrentHotSwap:
 
 class TestSingleFlight:
     def test_leader_then_followers(self):
-        cache = ShardedResultCache(capacity=64, n_stripes=8)
-        flight, is_leader = cache.join_flight("m", ("a",), epoch=0)
-        assert is_leader
-        joined, joined_leader = cache.join_flight("m", ("a",), epoch=0)
-        assert joined is flight and not joined_leader
+        cache = ResultCache(capacity=64)
+        leader = _unit()
+        hits, follows = cache.claim(leader, [("a",)])
+        assert hits == {} and follows == {}
+        assert leader.sequences == [("a",)]
+        follower = _unit()
+        _, follows = cache.claim(follower, [("a",)])
+        assert follows[("a",)].unit is leader and follows[("a",)].index == 0
+        assert follower.sequences == []
         assert cache.inflight_count() == 1
-        cache.finish_flight("m", ("a",), flight, value=_row(7))
-        assert flight.event.is_set()
-        assert flight.value[0] == 7.0
+        _finish(cache, leader, 7)
+        assert leader.done.is_set()
+        assert leader.result[follows[("a",)].index][0] == 7.0
         assert cache.inflight_count() == 0
+        np.testing.assert_array_equal(cache.get("m", ("a",)), _row(7))
 
     def test_flight_value_stored_as_copy(self):
-        cache = ShardedResultCache(capacity=64, n_stripes=8)
-        flight, _ = cache.join_flight("m", ("a",), epoch=0)
-        value = _row(7)
-        cache.finish_flight("m", ("a",), flight, value=value)
-        value[0] = -1.0
-        assert flight.value[0] == 7.0
+        cache = ResultCache(capacity=64)
+        unit = _unit()
+        cache.claim(unit, [("a",)])
+        _finish(cache, unit, 7)
+        unit.result[0, 0] = -1.0  # the leader's caller scribbling on its rows
+        np.testing.assert_array_equal(cache.get("m", ("a",)), _row(7))
 
     def test_error_published_to_flight(self):
-        cache = ShardedResultCache(capacity=64, n_stripes=8)
-        flight, _ = cache.join_flight("m", ("a",), epoch=0)
+        cache = ResultCache(capacity=64)
+        leader = _unit()
+        cache.claim(leader, [("a",)])
+        _, follows = cache.claim(_unit(), [("a",)])
         boom = RuntimeError("boom")
-        cache.finish_flight("m", ("a",), flight, error=boom)
-        assert flight.event.is_set()
-        assert flight.error is boom and flight.value is None
+        leader.error = boom
+        cache.complete(leader)
+        assert leader.done.is_set()
+        assert follows[("a",)].unit.error is boom and leader.result is None
+        assert cache.get("m", ("a",)) is None
+        assert cache.inflight_count() == 0
 
     def test_epoch_mismatch_opens_fresh_flight(self):
-        """A caller holding a newer epoch must not join a pre-swap flight:
-        it displaces the stale record and leads a fresh one."""
-        cache = ShardedResultCache(capacity=64, n_stripes=8)
-        stale, _ = cache.join_flight("m", ("a",), epoch=0)
+        """A caller holding a newer epoch must not follow a pre-swap unit:
+        it displaces the stale entry and leads a fresh one."""
+        cache = ResultCache(capacity=64)
+        stale = _unit(epoch=0)
+        cache.claim(stale, [("a",)])
         cache.invalidate("m")  # hot-swap: epoch 0 -> 1
-        fresh, is_leader = cache.join_flight("m", ("a",), epoch=cache.epoch("m"))
-        assert is_leader and fresh is not stale
-        # The displaced leader finishing must not deregister the new flight.
-        cache.finish_flight("m", ("a",), stale, value=_row(0))
+        fresh = _unit(epoch=cache.epoch("m"))
+        _, follows = cache.claim(fresh, [("a",)])
+        assert follows == {} and fresh.sequences == [("a",)]
+        # The displaced leader completing must not deregister the new unit.
+        _finish(cache, stale, 0)
         assert cache.inflight_count() == 1
-        again, again_leader = cache.join_flight("m", ("a",), epoch=cache.epoch("m"))
-        assert again is fresh and not again_leader
-        cache.finish_flight("m", ("a",), fresh, value=_row(1))
+        _, follows = cache.claim(_unit(epoch=cache.epoch("m")), [("a",)])
+        assert follows[("a",)].unit is fresh
+        _finish(cache, fresh, 1)
+        np.testing.assert_array_equal(cache.get("m", ("a",)), _row(1))
 
     def test_flights_work_with_caching_disabled(self):
-        cache = ShardedResultCache(capacity=0)
-        flight, is_leader = cache.join_flight("m", ("a",), epoch=0)
-        assert is_leader
-        cache.finish_flight("m", ("a",), flight, value=_row(3))
-        assert flight.value[0] == 3.0
+        cache = ResultCache(capacity=0)
+        leader = _unit()
+        cache.claim(leader, [("a",)])
+        _, follows = cache.claim(_unit(), [("a",)])
+        assert follows[("a",)].unit is leader
+        _finish(cache, leader, 3)
+        assert leader.result[follows[("a",)].index][0] == 3.0
+        assert cache.get("m", ("a",)) is None
+        assert cache.inflight_count() == 0
+
+    def test_coalesce_off_marks_nothing_pending(self):
+        cache = ResultCache(capacity=64)
+        first, second = _unit(), _unit()
+        cache.claim(first, [("a",)], coalesce=False)
+        _, follows = cache.claim(second, [("a",)], coalesce=False)
+        assert follows == {} and second.sequences == [("a",)]
+        assert cache.inflight_count() == 0
+        _finish(cache, first, 1)
+        _finish(cache, second, 2)
+        np.testing.assert_array_equal(cache.get("m", ("a",)), _row(2))
 
 
 class TestCoalescingAcrossHotSwap:

@@ -77,11 +77,13 @@ def _fleet_report(export_dir, request_pool, workers, n_requests, workdir):
         workers=workers,
         export_dir=export_dir,
         route="cuisine",
-        service_time=SERVICE_TIME,
-        cache_size=0,  # every request pays a real (pinned) model pass
-        max_batch_size=1,  # no micro-batching: capacity is 1/SERVICE_TIME each
-        drain_timeout=10.0,
         workdir=workdir,
+        worker_args=[
+            "--service-time", str(SERVICE_TIME),
+            "--cache-size", "0",  # every request pays a real (pinned) model pass
+            "--max-batch-size", "1",  # no micro-batching: capacity is 1/SERVICE_TIME each
+            "--drain-timeout", "10.0",
+        ],
     )
     handle = supervisor.start_in_thread()
     try:

@@ -50,13 +50,14 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.cluster.balancer import ClusterBalancer
 from repro.cluster.metrics import merge_health_snapshots
 from repro.loadgen.client import ClientConnection
 from repro.observability import render_metrics_text
 from repro.server.app import HTTPFrontEnd, ServerHandle
+from repro.server.cli import parse_worker_args, train_demo_export
 from repro.server.protocol import HTTPError, HTTPRequest
 
 logger = logging.getLogger(__name__)
@@ -141,13 +142,18 @@ class ClusterSupervisor(HTTPFrontEnd):
         mmap_bundles: Workers map bundle arrays from the shared extracted
             archive instead of copying them per process (default on — the
             point of a prefork fleet).
-        cache_size / max_batch_size / service_time / max_inflight /
-            drain_timeout: Forwarded to each worker's CLI; ``drain_timeout``
-            also bounds the drain of the supervisor's own control server.
         admin_token: Enables ``/admin`` and ``/cluster`` verbs on the
             control server, and is handed to workers via the environment.
         workdir: Scratch directory for ready-files and demo training
             (a private temporary directory when ``None``).
+        worker_args: ``repro-serve`` tuning flags (``--cache-size``,
+            ``--max-batch-size``, ``--max-inflight``, ``--max-batch-items``,
+            ``--max-body-bytes``, ``--service-time``, ``--drain-timeout``,
+            the trace flags, ``--log-level``), appended verbatim to every
+            worker's command.  They are parsed once here: a malformed or
+            unknown flag, or ``--admin-token``, raises ``ValueError``.  The
+            supervisor reads its own drain timeout from them, and the
+            balancer its trace settings and ``max_body_bytes``.
     """
 
     handle_class = ClusterHandle
@@ -168,17 +174,9 @@ class ClusterSupervisor(HTTPFrontEnd):
         admin_token: str | None = None,
         mode: str = "auto",
         mmap_bundles: bool = True,
-        cache_size: int | None = None,
-        max_batch_size: int | None = None,
-        service_time: float = 0.0,
-        max_inflight: int | None = None,
-        drain_timeout: float = 30.0,
         spawn_timeout: float = 120.0,
         workdir: str | Path | None = None,
-        log_level: str = "INFO",
-        trace_sample: float | None = 1.0,
-        trace_slow_ms: float = 250.0,
-        trace_seed: int = 0,
+        worker_args: Sequence[str] = (),
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -188,6 +186,8 @@ class ClusterSupervisor(HTTPFrontEnd):
             raise ValueError(f"mode must be auto/reuseport/balancer, got {mode!r}")
         if mode == "reuseport" and not has_reuseport():
             raise ValueError("this platform has no SO_REUSEPORT; use mode='balancer'")
+        self.worker_args = tuple(worker_args)
+        self.worker_options = parse_worker_args(self.worker_args)
         super().__init__(host, port)
         self.workers = workers
         self.control_port = control_port
@@ -200,17 +200,9 @@ class ClusterSupervisor(HTTPFrontEnd):
         self.admin_token = admin_token
         self.mode = mode if mode != "auto" else ("reuseport" if has_reuseport() else "balancer")
         self.mmap_bundles = mmap_bundles
-        self.cache_size = cache_size
-        self.max_batch_size = max_batch_size
-        self.service_time = service_time
-        self.max_inflight = max_inflight
-        self.drain_timeout = drain_timeout
+        self.drain_timeout = self.worker_options.drain_timeout
         self.spawn_timeout = spawn_timeout
-        self.trace_sample = trace_sample
-        self.trace_slow_ms = trace_slow_ms
-        self.trace_seed = trace_seed
         self.workdir = Path(workdir) if workdir is not None else None
-        self.log_level = log_level
 
         self._workers: dict[int, Worker] = {}
         self._crashes: dict[int, int] = {}
@@ -233,8 +225,6 @@ class ClusterSupervisor(HTTPFrontEnd):
             self.workdir = Path(self._tmpdir.name)
         self.workdir.mkdir(parents=True, exist_ok=True)
         if self.demo:
-            from repro.server.cli import train_demo_export
-
             export = self.workdir / "demo-export"
             bundle = await asyncio.to_thread(
                 train_demo_export, self.demo_scale, self.demo_seed, export
@@ -243,12 +233,14 @@ class ClusterSupervisor(HTTPFrontEnd):
             if self.route is None:
                 self.route = "cuisine"
         if self.mode == "balancer":
+            options = self.worker_options
             self._balancer = ClusterBalancer(
                 host=self.host,
                 port=self.port,
-                trace_sample=self.trace_sample,
-                trace_slow_ms=self.trace_slow_ms,
-                trace_seed=self.trace_seed,
+                max_body_bytes=options.max_body_bytes,
+                trace_sample=None if options.no_trace else options.trace_sample,
+                trace_slow_ms=options.trace_slow_ms,
+                trace_seed=options.trace_seed,
             )
             started = asyncio.Event()
             self._balancer_task = asyncio.create_task(
@@ -333,27 +325,11 @@ class ClusterSupervisor(HTTPFrontEnd):
             "--control-port", "0",
             "--worker-id", str(index),
             "--ready-file", str(ready_path),
-            "--drain-timeout", str(self.drain_timeout),
-            "--log-level", self.log_level,
         ]
         if self.route is not None:
             command += ["--route", self.route]
         if self.mmap_bundles:
             command += ["--mmap-bundles"]
-        if self.cache_size is not None:
-            command += ["--cache-size", str(self.cache_size)]
-        if self.max_batch_size is not None:
-            command += ["--max-batch-size", str(self.max_batch_size)]
-        if self.service_time > 0:
-            command += ["--service-time", str(self.service_time)]
-        if self.max_inflight is not None:
-            command += ["--max-inflight", str(self.max_inflight)]
-        if self.trace_sample is None:
-            command += ["--no-trace"]
-        else:
-            command += ["--trace-sample", str(self.trace_sample)]
-        command += ["--trace-slow-ms", str(self.trace_slow_ms)]
-        command += ["--trace-seed", str(self.trace_seed)]
         sock: socket.socket | None = None
         pass_fds: tuple[int, ...] = ()
         if self.mode == "reuseport":
@@ -362,6 +338,7 @@ class ClusterSupervisor(HTTPFrontEnd):
             pass_fds = (sock.fileno(),)
         else:
             command += ["--host", self.host, "--port", "0"]
+        command += self.worker_args
         process = subprocess.Popen(command, pass_fds=pass_fds, env=self._worker_env())
         if sock is not None:
             # The worker holds its own copy now; keeping ours open would
@@ -501,27 +478,54 @@ class ClusterSupervisor(HTTPFrontEnd):
     # ------------------------------------------------------------------
     # fleet observability
     # ------------------------------------------------------------------
-    async def _worker_health(self, worker: Worker) -> dict | None:
+    async def _ask(
+        self,
+        worker: Worker,
+        method: str,
+        path: str,
+        payload=None,
+        headers: Mapping[str, str] | None = None,
+        timeout: float = 10.0,
+    ) -> dict:
+        """One request to a worker's control port.
+
+        Returns ``{"worker", "status", "body"}``, or ``{"worker", "status":
+        502, "error"}`` naming the exception when the worker is unreachable,
+        too slow, or answers something unreadable.
+        """
         connection = ClientConnection(self.host, worker.control_port)
         try:
             response = await asyncio.wait_for(
-                connection.request("GET", "/healthz"), timeout=10.0
+                connection.request(method, path, payload, headers), timeout=timeout
             )
-            return response.json() if response.status == 200 else None
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError):
-            return None
+            body = response.json() if response.body else None
+            return {"worker": worker.index, "status": response.status, "body": body}
+        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError) as exc:
+            return {"worker": worker.index, "status": 502, "error": type(exc).__name__}
         finally:
             connection.close()
 
+    async def _ask_all(self, method: str, path: str, **kwargs) -> list[tuple[Worker, dict]]:
+        """:meth:`_ask` every worker at once, in worker-index order."""
+        workers = [self._workers[index] for index in sorted(self._workers)]
+        answers = await asyncio.gather(
+            *(self._ask(worker, method, path, **kwargs) for worker in workers)
+        )
+        return list(zip(workers, answers))
+
+    async def _get_all(self, path: str) -> list[tuple[Worker, dict | None]]:
+        """Every worker's JSON at *path*; ``None`` for a worker not answering 200."""
+        return [
+            (worker, answer["body"] if answer["status"] == 200 else None)
+            for worker, answer in await self._ask_all("GET", path)
+        ]
+
     async def fleet_health(self) -> dict:
         """Merged fleet ``/healthz`` plus a ``cluster`` membership block."""
-        workers = sorted(self._workers.values(), key=lambda worker: worker.index)
-        snapshots = await asyncio.gather(
-            *(self._worker_health(worker) for worker in workers)
-        )
-        merged = merge_health_snapshots([s for s in snapshots if s is not None])
+        snapshots = await self._get_all("/healthz")
+        merged = merge_health_snapshots([s for _, s in snapshots if s is not None])
         members = []
-        for worker, snapshot in zip(workers, snapshots):
+        for worker, snapshot in snapshots:
             info = worker.info()
             info["reachable"] = snapshot is not None
             members.append(info)
@@ -531,7 +535,7 @@ class ClusterSupervisor(HTTPFrontEnd):
         merged["cluster"] = {
             "mode": self.mode,
             "port": self.port,
-            "workers": sum(1 for worker in workers if worker.alive),
+            "workers": sum(1 for worker, _ in snapshots if worker.alive),
             "target_workers": self.workers,
             "respawns": self._respawns,
             "members": members,
@@ -557,19 +561,6 @@ class ClusterSupervisor(HTTPFrontEnd):
             "cluster": cluster,
         }
 
-    async def _worker_debug(self, worker: Worker, path: str) -> dict | None:
-        """GET a worker's control-port debug endpoint; None when unreachable."""
-        connection = ClientConnection(self.host, worker.control_port)
-        try:
-            response = await asyncio.wait_for(
-                connection.request("GET", path), timeout=10.0
-            )
-            return response.json() if response.status == 200 else None
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError):
-            return None
-        finally:
-            connection.close()
-
     async def fleet_traces(self) -> dict:
         """Fleet-wide trace summaries: every worker's store + the balancer's.
 
@@ -577,10 +568,7 @@ class ClusterSupervisor(HTTPFrontEnd):
         server spans) merge into a single row listing every origin that holds
         a piece of the trace.
         """
-        workers = sorted(self._workers.values(), key=lambda worker: worker.index)
-        payloads = await asyncio.gather(
-            *(self._worker_debug(worker, "/debug/traces") for worker in workers)
-        )
+        payloads = await self._get_all("/debug/traces")
         by_id: dict[str, dict] = {}
 
         def fold(summary: dict, origin: str) -> None:
@@ -603,13 +591,13 @@ class ClusterSupervisor(HTTPFrontEnd):
         if self._balancer is not None:
             for summary in self._balancer.traces.list():
                 fold(summary, "balancer")
-        for worker, payload in zip(workers, payloads):
+        for worker, payload in payloads:
             if payload is None:
                 continue
             for summary in payload.get("traces", ()):
                 fold(summary, f"worker-{worker.index}")
         stats = {}
-        for worker, payload in zip(workers, payloads):
+        for worker, payload in payloads:
             if payload is not None and "stats" in payload:
                 stats[f"worker-{worker.index}"] = payload["stats"]
         if self._balancer is not None:
@@ -619,19 +607,13 @@ class ClusterSupervisor(HTTPFrontEnd):
     async def fleet_trace(self, trace_id: str) -> dict | None:
         """One merged trace: balancer spans + every worker's spans, stitched
         by the shared id, each span annotated with its origin."""
-        workers = sorted(self._workers.values(), key=lambda worker: worker.index)
-        payloads = await asyncio.gather(
-            *(
-                self._worker_debug(worker, f"/debug/traces/{trace_id}")
-                for worker in workers
-            )
-        )
+        payloads = await self._get_all(f"/debug/traces/{trace_id}")
         pieces: list[tuple[str, dict]] = []
         if self._balancer is not None:
             stored = self._balancer.traces.get(trace_id)
             if stored is not None:
                 pieces.append(("balancer", stored))
-        for worker, payload in zip(workers, payloads):
+        for worker, payload in payloads:
             if payload is not None:
                 pieces.append((f"worker-{worker.index}", payload))
         if not pieces:
@@ -665,28 +647,12 @@ class ClusterSupervisor(HTTPFrontEnd):
         """Replay one ``/admin`` request on every worker's control port."""
         payload = request.json() if request.body else None
         headers = {"x-admin-token": request.headers.get("x-admin-token", "")}
-        workers = sorted(self._workers.values(), key=lambda worker: worker.index)
-
-        async def one(worker: Worker) -> dict:
-            connection = ClientConnection(self.host, worker.control_port)
-            try:
-                response = await asyncio.wait_for(
-                    connection.request(request.method, request.path, payload, headers),
-                    timeout=60.0,
-                )
-                body = response.json() if response.body else None
-                return {"worker": worker.index, "status": response.status, "body": body}
-            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError) as exc:
-                return {
-                    "worker": worker.index, "status": 502,
-                    "error": type(exc).__name__,
-                }
-            finally:
-                connection.close()
-
-        results = await asyncio.gather(*(one(worker) for worker in workers))
+        answers = await self._ask_all(
+            request.method, request.path, payload=payload, headers=headers, timeout=60.0
+        )
+        results = [answer for _, answer in answers]
         status = 200 if results and all(r["status"] == 200 for r in results) else 502
-        return status, {"results": list(results)}
+        return status, {"results": results}
 
     async def _dispatch(self, request: HTTPRequest):
         segments = request.segments
@@ -695,8 +661,7 @@ class ClusterSupervisor(HTTPFrontEnd):
         if segments == ("metrics",):
             return 200, render_metrics_text(await self.fleet_metrics_payload())
         if segments == ("workers",):
-            workers = sorted(self._workers.values(), key=lambda worker: worker.index)
-            return 200, {"workers": [worker.info() for worker in workers]}
+            return 200, {"workers": [self._workers[i].info() for i in sorted(self._workers)]}
         if segments == ("debug", "traces"):
             return 200, await self.fleet_traces()
         if len(segments) == 3 and segments[:2] == ("debug", "traces"):

@@ -155,6 +155,10 @@ class DeploymentRegistry:
             raise ValueError(f"invalid route name {route!r} (non-empty, no '@')")
         if not version:
             raise ValueError("version must be a non-empty string")
+        if ":" in version or "->" in version:
+            # RouteMetrics keys shadow counters as "<primary>-><shadow>" and
+            # "<shadow>:<label>" and splits them back apart.
+            raise ValueError(f"invalid version name {version!r} (no ':' or '->')")
 
     def deploy(
         self,

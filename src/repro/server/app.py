@@ -77,7 +77,7 @@ from repro.trace import (
     Trace,
     TraceStore,
     Tracer,
-    call_with_trace,
+    activate,
     parse_trace_header,
 )
 
@@ -852,17 +852,13 @@ class ModelServer(HTTPFrontEnd):
                 keys=parsed["keys"],
                 version=parsed["version"],
             )
+            # run_in_executor does not carry contextvars into the pool
+            # thread, so the call runs in a copy taken with the trace active.
+            with activate(trace, root.span_id if root is not None else None):
+                context = contextvars.copy_context()
             try:
-                # run_in_executor does not carry contextvars into the pool
-                # thread, so the active trace is handed across explicitly.
                 probabilities = await asyncio.get_running_loop().run_in_executor(
-                    self._executor,
-                    functools.partial(
-                        call_with_trace,
-                        trace,
-                        root.span_id if root is not None else None,
-                        call,
-                    ),
+                    self._executor, context.run, call
                 )
                 label_space = self.gateway.registry.label_space(route)
             except KeyError as exc:

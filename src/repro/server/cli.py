@@ -15,6 +15,11 @@ prediction service) shut down before exit.  ``--ready-file`` writes a small
 JSON document (host, port, pid) once the socket is bound, so scripts can
 start the server on an ephemeral port (``--port 0``) and discover where it
 landed.
+
+Every flag is declared once, here.  ``repro-cluster`` parses the shared ones
+(what to serve, where, ``--admin-token``, ``--log-level``) from the same
+declaration and forwards the tuning flags to each worker unparsed, after
+one check with :func:`parse_worker_args`.
 """
 
 from __future__ import annotations
@@ -30,18 +35,17 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable, Sequence
 
 from repro.gateway.gateway import ModelGateway
-from repro.server.app import ModelServer
+from repro.server.app import HTTPFrontEnd, ModelServer
 
 logger = logging.getLogger("repro.server")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="Serve repro model bundles over HTTP (asyncio, stdlib-only).",
-    )
+def add_shared_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare what ``repro-serve`` and ``repro-cluster`` both parse: what to
+    serve, where, the admin token and the log level."""
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--export-dir",
@@ -50,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--demo",
         action="store_true",
-        help="train a small demo model in-process and serve it as cuisine@v1",
+        help="train a small demo model and serve it as cuisine@v1 (a fleet "
+        "trains it once, in the supervisor)",
     )
     parser.add_argument("--version", default="v1", help="version label for deployed bundles")
     parser.add_argument(
@@ -58,33 +63,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a single-bundle --export-dir under this route name "
         "instead of the bundle's model name",
     )
+    parser.add_argument("--demo-scale", type=float, default=0.004)
+    parser.add_argument("--demo-seed", type=int, default=11)
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8000, help="0 binds an ephemeral port")
     parser.add_argument(
-        "--socket-fd",
-        type=int,
-        help="serve on this inherited listening socket instead of binding "
-        "--host/--port (cluster worker mode; the fd must be a bound, "
-        "listening TCP socket)",
+        "--port", type=int, default=8000, help="data port; 0 binds an ephemeral port"
     )
     parser.add_argument(
-        "--control-port",
-        type=int,
-        help="also serve on a private host:control-port listener (0 binds an "
-        "ephemeral port) so this process stays individually addressable "
-        "behind a shared SO_REUSEPORT data port",
+        "--ready-file",
+        help="write {host, port, pid, ...} JSON here once serving",
     )
     parser.add_argument(
-        "--worker-id",
-        type=int,
-        help="fleet index reported in /healthz and /metrics server stats",
+        "--admin-token",
+        default=os.environ.get("REPRO_ADMIN_TOKEN"),
+        help="enable /admin endpoints (and a fleet's /cluster verbs) guarded "
+        "by this token (default: $REPRO_ADMIN_TOKEN; unset disables admin)",
     )
-    parser.add_argument(
-        "--mmap-bundles",
-        action="store_true",
-        help="memory-map bundle arrays (read-only, page-shared across "
-        "worker processes) instead of copying them per process",
-    )
+    _add_log_level(parser)
+
+
+def _add_log_level(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--log-level", default="INFO")
+
+
+def _add_tuning_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the worker tuning flags ``repro-cluster`` forwards unparsed."""
     parser.add_argument(
         "--cache-size",
         type=int,
@@ -103,12 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark hook: add this many seconds of synthetic work to "
         "every model pass, pinning per-process capacity independent of "
         "host CPU count",
-    )
-    parser.add_argument(
-        "--admin-token",
-        default=os.environ.get("REPRO_ADMIN_TOKEN"),
-        help="enable /admin endpoints guarded by this token "
-        "(default: $REPRO_ADMIN_TOKEN; unset disables admin)",
     )
     parser.add_argument("--max-inflight", type=int, default=64)
     parser.add_argument("--max-batch-items", type=int, default=256)
@@ -139,14 +136,114 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable request tracing entirely (requests pay only an "
         "is-enabled check; /debug/traces stays empty)",
     )
-    parser.add_argument("--demo-scale", type=float, default=0.004)
-    parser.add_argument("--demo-seed", type=int, default=11)
-    parser.add_argument(
-        "--ready-file",
-        help="write {host, port, pid} JSON here once the socket is bound",
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-serve",
+        description="Serve repro model bundles over HTTP (asyncio, stdlib-only).",
     )
-    parser.add_argument("--log-level", default="INFO")
+    add_shared_arguments(parser)
+    parser.add_argument(
+        "--socket-fd",
+        type=int,
+        help="serve on this inherited listening socket instead of binding "
+        "--host/--port (cluster worker mode; the fd must be a bound, "
+        "listening TCP socket)",
+    )
+    parser.add_argument(
+        "--control-port",
+        type=int,
+        help="also serve on a private host:control-port listener (0 binds an "
+        "ephemeral port) so this process stays individually addressable "
+        "behind a shared SO_REUSEPORT data port",
+    )
+    parser.add_argument(
+        "--worker-id",
+        type=int,
+        help="fleet index reported in /healthz and /metrics server stats",
+    )
+    parser.add_argument(
+        "--mmap-bundles",
+        action="store_true",
+        help="memory-map bundle arrays (read-only, page-shared across "
+        "worker processes) instead of copying them per process",
+    )
+    _add_tuning_arguments(parser)
     return parser
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def tuning_flags() -> list[str]:
+    """The ``repro-serve`` flags a fleet forwards to its workers unparsed."""
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_tuning_arguments(parser)
+    return [action.option_strings[0] for action in parser._actions]
+
+
+def parse_worker_args(worker_args: Sequence[str]) -> argparse.Namespace:
+    """Parse the flags a fleet forwards to every ``repro-serve`` worker.
+
+    Raises:
+        ValueError: a malformed or unknown flag, or ``--admin-token``, which
+            reaches workers only through ``$REPRO_ADMIN_TOKEN``.
+    """
+    if any(arg.split("=", 1)[0] == "--admin-token" for arg in worker_args):
+        # Checked first so the error message never echoes the token.
+        raise ValueError(
+            "--admin-token is not a worker flag; the admin token reaches "
+            "workers through $REPRO_ADMIN_TOKEN only"
+        )
+    # No abbreviations: every worker re-parses these strings against the full
+    # repro-serve parser, where a prefix unique here may be ambiguous.
+    parser = _RaisingParser(prog="repro-serve", add_help=False, allow_abbrev=False)
+    _add_log_level(parser)
+    _add_tuning_arguments(parser)
+    return parser.parse_args(list(worker_args))
+
+
+def configure_logging(level: str) -> None:
+    logging.basicConfig(
+        level=getattr(logging, level.upper(), logging.INFO),
+        format="%(asctime)s %(name)s %(levelname)s %(message)s",
+    )
+
+
+def run_until_signal(
+    front_end: HTTPFrontEnd,
+    ready_file: str | None,
+    announce: Callable[[], tuple[str, dict]],
+) -> None:
+    """Serve *front_end* until SIGTERM/SIGINT, then let it drain.
+
+    Once it is serving, ``announce()`` returns a banner, printed, and a
+    document, written with the process id to *ready_file*.
+    """
+
+    async def serve() -> None:
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, front_end.request_stop)
+            except NotImplementedError:  # non-POSIX event loops
+                pass
+
+        def ready() -> None:
+            banner, document = announce()
+            print(banner, flush=True)
+            if ready_file:
+                Path(ready_file).write_text(json.dumps({**document, "pid": os.getpid()}))
+
+        await front_end.serve(ready=ready)
+
+    try:
+        asyncio.run(serve())
+    except KeyboardInterrupt:
+        pass
 
 
 def train_demo_export(scale: float, seed: int, workdir: str | Path) -> Path:
@@ -230,33 +327,9 @@ def _inject_service_time(gateway: ModelGateway, seconds: float) -> None:
             model.predict_proba_features = slowed
 
 
-async def _serve(server: ModelServer, ready_file: str | None) -> None:
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, server.request_stop)
-        except NotImplementedError:  # non-POSIX event loops
-            pass
-
-    def announce() -> None:
-        print(f"repro-serve listening on http://{server.host}:{server.port}", flush=True)
-        if ready_file:
-            payload = {"host": server.host, "port": server.port, "pid": os.getpid()}
-            if server.control_port is not None:
-                payload["control_port"] = server.control_port
-            if server.worker_id is not None:
-                payload["worker_id"] = server.worker_id
-            Path(ready_file).write_text(json.dumps(payload))
-
-    await server.serve(ready=announce)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=getattr(logging, args.log_level.upper(), logging.INFO),
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
+    configure_logging(args.log_level)
     gateway_kwargs: dict = {}
     if args.mmap_bundles:
         gateway_kwargs["mmap_bundles"] = True
@@ -295,10 +368,16 @@ def main(argv: list[str] | None = None) -> int:
             trace_slow_ms=args.trace_slow_ms,
             trace_seed=args.trace_seed,
         )
-        try:
-            asyncio.run(_serve(server, args.ready_file))
-        except KeyboardInterrupt:
-            pass
+
+        def announce() -> tuple[str, dict]:
+            document = {"host": server.host, "port": server.port}
+            if server.control_port is not None:
+                document["control_port"] = server.control_port
+            if server.worker_id is not None:
+                document["worker_id"] = server.worker_id
+            return f"repro-serve listening on http://{server.host}:{server.port}", document
+
+        run_until_signal(server, args.ready_file, announce)
     print("repro-serve drained cleanly", flush=True)
     return 0
 

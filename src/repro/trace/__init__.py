@@ -32,7 +32,6 @@ from repro.trace.tracing import (
     Trace,
     Tracer,
     activate,
-    call_with_trace,
     current_span_id,
     current_trace,
     format_trace_header,
@@ -46,7 +45,6 @@ __all__ = [
     "TraceStore",
     "Tracer",
     "activate",
-    "call_with_trace",
     "current_span_id",
     "current_trace",
     "format_trace_header",

@@ -18,10 +18,11 @@ Propagation
 -----------
 In-process context rides a :data:`contextvars.ContextVar` holding
 ``(trace, parent_span_id)``.  ``asyncio``'s ``run_in_executor`` does **not**
-propagate contextvars into pool threads, so the server hands the active
-trace across explicitly with :func:`call_with_trace`.  Across the network,
-the balancer injects ``X-Repro-Trace: <id>;sampled=<0|1>;parent=<span>`` and
-the worker adopts it with :meth:`Tracer.adopt`.
+propagate contextvars into pool threads, so the server copies the context
+inside :func:`activate` and runs the pool call in that copy.  Across the
+network, the balancer injects
+``X-Repro-Trace: <id>;sampled=<0|1>;parent=<span>`` and the worker adopts it
+with :meth:`Tracer.adopt`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 #: Request/response header carrying trace context across process hops.
 TRACE_HEADER = "X-Repro-Trace"
@@ -364,24 +365,6 @@ def activate(trace: Trace | None, parent: str | None = None) -> Iterator[None]:
     token = _ACTIVE.set((trace, parent))
     try:
         yield
-    finally:
-        _ACTIVE.reset(token)
-
-
-def call_with_trace(
-    trace: Trace | None,
-    parent: str | None,
-    fn: Callable[..., Any],
-    *args: Any,
-    **kwargs: Any,
-) -> Any:
-    """Run ``fn`` with ``trace`` active — the explicit hand-off for executor
-    threads, where ``run_in_executor`` does not carry contextvars."""
-    if trace is None:
-        return fn(*args, **kwargs)
-    token = _ACTIVE.set((trace, parent))
-    try:
-        return fn(*args, **kwargs)
     finally:
         _ACTIVE.reset(token)
 

@@ -39,8 +39,8 @@ def test_rolling_restart_drops_nothing(
         export_dir=cluster_export_dir,
         route="cuisine",
         mode=mode,
-        drain_timeout=15.0,
         workdir=tmp_path_factory.mktemp(f"roll-{mode}"),
+        worker_args=["--drain-timeout", "15.0"],
     )
     handle = supervisor.start_in_thread()
     try:

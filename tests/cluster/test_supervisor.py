@@ -22,8 +22,8 @@ def fleet(cluster_export_dir, tmp_path_factory):
         export_dir=cluster_export_dir,
         route="cuisine",
         admin_token=ADMIN_TOKEN,
-        drain_timeout=10.0,
         workdir=tmp_path_factory.mktemp("fleet"),
+        worker_args=["--drain-timeout", "10.0"],
     )
     handle = supervisor.start_in_thread()
     try:
@@ -130,6 +130,12 @@ class TestAdminPlane:
         assert [result["worker"] for result in results] == [0, 1]
         assert all(result["status"] == 200 for result in results)
         assert all(result["body"]["active"] == "v1" for result in results)
+
+    def test_admin_token_never_on_a_worker_command_line(self, fleet):
+        supervisor, _ = fleet
+        for worker in supervisor._workers.values():
+            assert not any(ADMIN_TOKEN in arg for arg in worker.process.args)
+            assert worker.process.args[-2:] == ["--drain-timeout", "10.0"]
 
     def test_fan_out_rejects_malformed_json(self, control):
         status, body = control.request(

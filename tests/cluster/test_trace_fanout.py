@@ -22,8 +22,8 @@ def traced_fleet(cluster_export_dir, tmp_path_factory):
         export_dir=cluster_export_dir,
         route="cuisine",
         mode="balancer",
-        drain_timeout=10.0,
         workdir=tmp_path_factory.mktemp("traced-fleet"),
+        worker_args=["--drain-timeout", "10.0"],
     )
     handle = supervisor.start_in_thread()
     try:

@@ -50,6 +50,16 @@ class TestDeploy:
         with pytest.raises(ValueError, match="version"):
             registry.deploy("ok", "", logreg_bundle)
 
+    @pytest.mark.parametrize("version", ["v2:rc1", "a->x", "x->b", "v:"])
+    def test_versions_that_would_split_shadow_counters_rejected(
+        self, registry, logreg_bundle, version
+    ):
+        # RouteMetrics keys shadow counters "<shadow>:<label>" and
+        # "<primary>-><shadow>": such a name would be misattributed.
+        with pytest.raises(ValueError, match="no ':' or '->'"):
+            registry.deploy("cuisine", version, logreg_bundle, activate=False)
+        assert version not in registry.versions("cuisine")
+
     def test_unknown_route_is_keyerror(self, registry):
         with pytest.raises(KeyError, match="no route"):
             registry.resolve("nowhere")

@@ -78,6 +78,23 @@ class TestTraceRetrieval:
         assert route_attrs["variants"] == {"v1": 1 if body == "single" else 3}
         assert spans["server.request"]["parent_id"] is None
 
+    @pytest.mark.parametrize("body", ["single", "batch"])
+    def test_gateway_route_is_a_child_of_server_request(
+        self, traced_client, server_sequences, body
+    ):
+        # The gateway runs on an executor thread; the trace context must
+        # cross that hop so its span hangs under the request's root span.
+        sequences = [list(sequence) for sequence in server_sequences[:2]]
+        payload = {"sequence": sequences[0]} if body == "single" else {"sequences": sequences}
+        status, _ = traced_client.request("POST", "/routes/cuisine/predict", payload)
+        assert status == 200
+        trace_id = traced_client.last_headers.get(TRACE_HEADER)
+        _, trace = traced_client.request("GET", f"/debug/traces/{trace_id}")
+        spans = {span["name"]: span for span in trace["spans"]}
+        root_id = spans["server.request"]["span_id"]
+        assert spans["gateway.route"]["parent_id"] == root_id
+        assert spans["service.batch"]["parent_id"] == spans["gateway.route"]["span_id"]
+
     def test_repeat_key_hits_cache_and_traces_it(
         self, traced_client, server_sequences
     ):

@@ -241,6 +241,20 @@ def test_admin_deploy_new_version(running_server, client, server_export_dir):
     assert "v3" in server.gateway.registry.versions("cuisine")
 
 
+@pytest.mark.parametrize("version", ["v2:rc1", "a->x"])
+def test_admin_deploy_rejects_version_with_counter_separator(
+    running_server, client, server_export_dir, version
+):
+    server, _ = running_server
+    status, payload = client.admin(
+        "/admin/routes/cuisine/deploy",
+        {"version": version, "path": str(server_export_dir / "naive_bayes")},
+    )
+    assert status == 400
+    assert payload["error"]["code"] == "bad_request"
+    assert version not in server.gateway.registry.versions("cuisine")
+
+
 def test_admin_errors_are_structured(client):
     status, payload = client.admin("/admin/routes/cuisine/swap", {"version": "ghost"})
     assert status == 404

@@ -16,7 +16,6 @@ from repro.trace import (
     Trace,
     Tracer,
     activate,
-    call_with_trace,
     current_span_id,
     current_trace,
     format_trace_header,
@@ -195,15 +194,6 @@ class TestContextPropagation:
             assert current_trace() is trace
             assert current_span_id() == "s5"
         assert current_trace() is None
-
-    def test_call_with_trace_hands_context_into_plain_calls(self):
-        trace = Trace("t" * 32, "k", sampled=True)
-        seen = call_with_trace(trace, "s2", lambda: (current_trace(), current_span_id()))
-        assert seen == (trace, "s2")
-        assert current_trace() is None
-
-    def test_call_with_trace_none_degrades_to_plain_call(self):
-        assert call_with_trace(None, None, lambda x: x + 1, 2) == 3
 
 
 class TestHeader:

@@ -1,22 +1,14 @@
 """Feature extraction substrate.
 
-Implements the two vectorization strategies of Section IV of the paper:
-
-* TF-IDF vectorization (plus plain counts and feature hashing) for the
-  statistical models, producing ``scipy.sparse`` CSR matrices;
-* word embeddings, trained with a from-scratch skip-gram word2vec with
-  negative sampling, for initializing the sequential models.
+Implements the TF-IDF vectorization of Section IV of the paper (plus plain
+counts) for the statistical models, producing ``scipy.sparse`` CSR matrices.
+The sequential models read item-token ids instead (:mod:`repro.text`).
 """
 
 from repro.features.counts import CountVectorizer
-from repro.features.embeddings import SkipGramConfig, SkipGramEmbeddings
-from repro.features.hashing import HashingVectorizer
 from repro.features.tfidf import TfidfVectorizer
 
 __all__ = [
     "CountVectorizer",
     "TfidfVectorizer",
-    "HashingVectorizer",
-    "SkipGramConfig",
-    "SkipGramEmbeddings",
 ]

@@ -21,9 +21,8 @@ def ngram_features(
 ) -> list[str]:
     """Turn a document into its n-gram feature list.
 
-    Shared analyzer of :class:`CountVectorizer`,
-    :class:`~repro.features.tfidf.TfidfVectorizer` and
-    :class:`~repro.features.hashing.HashingVectorizer`: a document is either a
+    Shared analyzer of :class:`CountVectorizer` and
+    :class:`~repro.features.tfidf.TfidfVectorizer`: a document is either a
     whitespace-joined string or an already-tokenized sequence; n-grams join
     consecutive tokens with single spaces.
     """
@@ -59,6 +58,8 @@ class CountVectorizer:
             raise ValueError("min_df must be >= 1 (absolute document count)")
         if not 0.0 < max_df <= 1.0:
             raise ValueError("max_df must be in (0, 1]")
+        if max_features is not None and max_features < 1:
+            raise ValueError("max_features must be >= 1 or None")
         self.ngram_range = ngram_range
         self.min_df = min_df
         self.max_df = max_df

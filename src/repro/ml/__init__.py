@@ -11,8 +11,7 @@ from repro.ml.base import BaseClassifier, check_Xy, ensure_dense
 from repro.ml.boosting import AdaBoostClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.logistic_regression import LogisticRegressionClassifier
-from repro.ml.model_selection import cross_val_score, grid_search
-from repro.ml.naive_bayes import BernoulliNaiveBayes, MultinomialNaiveBayes
+from repro.ml.naive_bayes import MultinomialNaiveBayes
 from repro.ml.svm import LinearSVMClassifier
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -21,12 +20,9 @@ __all__ = [
     "check_Xy",
     "ensure_dense",
     "MultinomialNaiveBayes",
-    "BernoulliNaiveBayes",
     "LogisticRegressionClassifier",
     "LinearSVMClassifier",
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "AdaBoostClassifier",
-    "cross_val_score",
-    "grid_search",
 ]

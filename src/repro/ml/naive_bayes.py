@@ -3,8 +3,7 @@
 The paper's NB baseline selects the label maximising the posterior
 ``P(C_k | x) ∝ P(C_k) * Π P(x_i | C_k)`` under the naive independence
 assumption.  For TF-IDF / count features the standard choice is the
-multinomial event model; the Bernoulli variant is included for the
-binary-presence representation.
+multinomial event model.
 """
 
 from __future__ import annotations
@@ -90,96 +89,6 @@ class MultinomialNaiveBayes(BaseClassifier):
         """Restore fitted tables from :meth:`get_state`."""
         self.classes_ = np.asarray(state["classes"])
         self.feature_log_prob_ = np.asarray(state["feature_log_prob"], dtype=np.float64)
-        self.class_log_prior_ = np.asarray(state["class_log_prior"], dtype=np.float64)
-        return self
-
-
-class BernoulliNaiveBayes(BaseClassifier):
-    """Bernoulli Naive Bayes over binarized features.
-
-    Args:
-        alpha: Additive smoothing parameter.
-        binarize: Threshold above which a feature counts as present; ``None``
-            assumes the input is already binary.
-    """
-
-    def __init__(self, alpha: float = 1.0, binarize: float | None = 0.0) -> None:
-        if alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
-        self.alpha = alpha
-        self.binarize = binarize
-
-    def _binarize(self, X):
-        if self.binarize is None:
-            return X
-        if sparse.issparse(X):
-            X = X.copy()
-            X.data = (X.data > self.binarize).astype(np.float64)
-            return X
-        return (np.asarray(X, dtype=np.float64) > self.binarize).astype(np.float64)
-
-    def fit(self, X, y) -> "BernoulliNaiveBayes":
-        X, y = check_Xy(X, y)
-        X = self._binarize(X)
-        encoded = self._encode_labels(y)
-        n_classes = len(self.classes_)
-        n_features = X.shape[1]
-
-        class_counts = np.bincount(encoded, minlength=n_classes).astype(np.float64)
-        feature_counts = np.zeros((n_classes, n_features), dtype=np.float64)
-        for class_idx in range(n_classes):
-            rows = np.flatnonzero(encoded == class_idx)
-            if sparse.issparse(X):
-                feature_counts[class_idx] = np.asarray(X[rows].sum(axis=0)).ravel()
-            else:
-                feature_counts[class_idx] = X[rows].sum(axis=0)
-
-        smoothed = (feature_counts + self.alpha) / (
-            class_counts[:, None] + 2.0 * self.alpha
-        )
-        self.feature_log_prob_ = np.log(smoothed)
-        self.neg_feature_log_prob_ = np.log(1.0 - smoothed)
-        self.class_log_prior_ = np.log(class_counts) - np.log(class_counts.sum())
-        return self
-
-    def _joint_log_likelihood(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = self._binarize(X)
-        delta = (self.feature_log_prob_ - self.neg_feature_log_prob_).T
-        if sparse.issparse(X):
-            scores = np.asarray(X @ delta)
-        else:
-            scores = np.asarray(X, dtype=np.float64) @ delta
-        scores += self.neg_feature_log_prob_.sum(axis=1)
-        return scores + self.class_log_prior_
-
-    def predict_proba(self, X) -> np.ndarray:
-        log_joint = self._joint_log_likelihood(X)
-        log_joint -= log_joint.max(axis=1, keepdims=True)
-        probabilities = np.exp(log_joint)
-        probabilities /= probabilities.sum(axis=1, keepdims=True)
-        return probabilities
-
-    # ------------------------------------------------------------------
-    def get_state(self) -> dict:
-        """Fitted log-probability tables (artifact protocol)."""
-        self._check_fitted()
-        return {
-            "binarize": self.binarize,
-            "classes": self.classes_,
-            "feature_log_prob": self.feature_log_prob_,
-            "neg_feature_log_prob": self.neg_feature_log_prob_,
-            "class_log_prior": self.class_log_prior_,
-        }
-
-    def set_state(self, state: dict) -> "BernoulliNaiveBayes":
-        """Restore fitted tables from :meth:`get_state`."""
-        self.binarize = state["binarize"]
-        self.classes_ = np.asarray(state["classes"])
-        self.feature_log_prob_ = np.asarray(state["feature_log_prob"], dtype=np.float64)
-        self.neg_feature_log_prob_ = np.asarray(
-            state["neg_feature_log_prob"], dtype=np.float64
-        )
         self.class_log_prior_ = np.asarray(state["class_log_prior"], dtype=np.float64)
         return self
 

@@ -12,7 +12,7 @@ offline, so this package provides a small but complete one:
   self-attention and the Transformer encoder used for BERT/RoBERTa;
 * :mod:`repro.nn.mlm` — masked-language-model pretraining;
 * :mod:`repro.nn.optim` / :mod:`repro.nn.schedules` — SGD/Adam/AdamW and
-  warmup schedules;
+  the linear warmup/decay schedule;
 * :mod:`repro.nn.trainer` — mini-batch training loop with history and early
   stopping.
 """
@@ -24,7 +24,7 @@ from repro.nn.losses import cross_entropy_logits, masked_cross_entropy_logits
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, AdamW, Optimizer
 from repro.nn.rnn import LSTM, LSTMCell
-from repro.nn.schedules import ConstantSchedule, LinearWarmupDecay
+from repro.nn.schedules import LinearWarmupDecay
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn.trainer import Trainer, TrainingHistory
 from repro.nn.transformer import TransformerConfig, TransformerEncoder
@@ -50,7 +50,6 @@ __all__ = [
     "SGD",
     "Adam",
     "AdamW",
-    "ConstantSchedule",
     "LinearWarmupDecay",
     "Trainer",
     "TrainingHistory",

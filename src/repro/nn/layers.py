@@ -62,7 +62,7 @@ class Embedding(Module):
         return self.weight.embedding_lookup(ids)
 
     def load_pretrained(self, matrix: np.ndarray) -> None:
-        """Initialise from a pretrained matrix (e.g. skip-gram embeddings)."""
+        """Initialise from a pretrained matrix of the table's shape."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape != self.weight.data.shape:
             raise ValueError(

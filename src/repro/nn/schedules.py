@@ -26,17 +26,6 @@ class Schedule(abc.ABC):
         return lr
 
 
-class ConstantSchedule(Schedule):
-    """Keeps the optimizer's initial learning rate."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        super().__init__(optimizer)
-        self._lr = optimizer.lr
-
-    def learning_rate(self, step: int) -> float:
-        return self._lr
-
-
 class LinearWarmupDecay(Schedule):
     """Linear warmup followed by linear decay to zero.
 
@@ -67,31 +56,3 @@ class LinearWarmupDecay(Schedule):
         remaining = max(self.total_steps - step, 0)
         decay_span = max(self.total_steps - self.warmup_steps, 1)
         return max(self.floor, self.peak_lr * remaining / decay_span)
-
-
-class CosineWarmupDecay(Schedule):
-    """Linear warmup followed by cosine decay."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        peak_lr: float,
-        warmup_steps: int,
-        total_steps: int,
-        floor: float = 0.0,
-    ) -> None:
-        super().__init__(optimizer)
-        if warmup_steps < 0 or total_steps <= 0:
-            raise ValueError("warmup_steps must be >= 0 and total_steps > 0")
-        self.peak_lr = peak_lr
-        self.warmup_steps = warmup_steps
-        self.total_steps = total_steps
-        self.floor = floor
-
-    def learning_rate(self, step: int) -> float:
-        import math
-
-        if self.warmup_steps > 0 and step < self.warmup_steps:
-            return self.peak_lr * (step + 1) / self.warmup_steps
-        progress = min(1.0, (step - self.warmup_steps) / max(self.total_steps - self.warmup_steps, 1))
-        return self.floor + (self.peak_lr - self.floor) * 0.5 * (1 + math.cos(math.pi * progress))

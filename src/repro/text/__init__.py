@@ -5,7 +5,7 @@ symbol removal, tokenization, lemmatization, vocabulary construction and
 sequence encoding/padding for the neural models.
 """
 
-from repro.text.cleaning import clean_item, clean_sequence, remove_digits_and_symbols
+from repro.text.cleaning import clean_item, remove_digits_and_symbols
 from repro.text.lemmatizer import Lemmatizer, lemmatize
 from repro.text.pipeline import PipelineConfig, PreprocessingPipeline
 from repro.text.sequences import SequenceEncoder, pad_sequences
@@ -18,7 +18,7 @@ from repro.text.stages import (
     StageChain,
     TokenizeStage,
 )
-from repro.text.tokenizer import tokenize, tokenize_sequence
+from repro.text.tokenizer import tokenize
 from repro.text.vocabulary import Vocabulary
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "StageChain",
     "TokenizeStage",
     "clean_item",
-    "clean_sequence",
     "remove_digits_and_symbols",
     "Lemmatizer",
     "lemmatize",
@@ -39,6 +38,5 @@ __all__ = [
     "SequenceEncoder",
     "pad_sequences",
     "tokenize",
-    "tokenize_sequence",
     "Vocabulary",
 ]

@@ -7,7 +7,6 @@ only keep words, thereby reducing the noise in this highly sparse dataset".
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 _NON_WORD = re.compile(r"[^a-zA-Z\s]+")
 _MULTI_SPACE = re.compile(r"\s+")
@@ -28,9 +27,3 @@ def clean_item(item: str, lowercase: bool = True) -> str:
     """
     cleaned = remove_digits_and_symbols(item)
     return cleaned.lower() if lowercase else cleaned
-
-
-def clean_sequence(sequence: Iterable[str], lowercase: bool = True) -> list[str]:
-    """Clean every item of a recipe sequence, dropping items that become empty."""
-    cleaned = (clean_item(item, lowercase=lowercase) for item in sequence)
-    return [item for item in cleaned if item]

@@ -1,15 +1,14 @@
 """Tokenization.
 
-Recipe items are short phrases ("red lentil", "olive oil").  The statistical
-pipeline tokenizes them into words for TF-IDF, while the sequential pipeline
-can either keep whole items as single tokens (the default, preserving the
-item-level sequence of the paper) or split them into words.
+Recipe items are short phrases ("red lentil", "olive oil").  :func:`tokenize`
+splits them into words; :class:`~repro.text.stages.JoinStage` then keeps the
+words (the TF-IDF form) or joins each item's words into one item token (the
+sequential-model form, preserving the item-level sequence of the paper).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 _TOKEN = re.compile(r"[a-zA-Z']+")
 
@@ -23,37 +22,4 @@ def tokenize(text: str, lowercase: bool = True) -> list[str]:
     tokens = _TOKEN.findall(text)
     if lowercase:
         tokens = [token.lower() for token in tokens]
-    return tokens
-
-
-def tokenize_sequence(
-    sequence: Iterable[str],
-    lowercase: bool = True,
-    split_items: bool = False,
-    item_separator: str = "_",
-) -> list[str]:
-    """Tokenize a recipe item sequence.
-
-    Args:
-        sequence: The recipe items in order.
-        lowercase: Lower-case the output tokens.
-        split_items: If true, multi-word items are split into their words
-            ("red lentil" -> ["red", "lentil"]); if false (default) each item
-            becomes a single token with internal spaces replaced by
-            *item_separator* ("red lentil" -> "red_lentil"), preserving the
-            item-level sequence the paper feeds to the sequential models.
-        item_separator: Joiner used when ``split_items`` is false.
-
-    Returns:
-        The ordered token list.
-    """
-    tokens: list[str] = []
-    for item in sequence:
-        words = tokenize(item, lowercase=lowercase)
-        if not words:
-            continue
-        if split_items:
-            tokens.extend(words)
-        else:
-            tokens.append(item_separator.join(words))
     return tokens

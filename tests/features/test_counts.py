@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from repro.features.counts import CountVectorizer
+from repro.features.tfidf import TfidfVectorizer
 
 
 DOCS = [
@@ -48,6 +49,12 @@ class TestFit:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             CountVectorizer(**kwargs)
+
+    @pytest.mark.parametrize("vectorizer_class", [CountVectorizer, TfidfVectorizer])
+    @pytest.mark.parametrize("max_features", [0, -1])
+    def test_non_positive_max_features_rejected(self, vectorizer_class, max_features):
+        with pytest.raises(ValueError, match="max_features must be >= 1 or None"):
+            vectorizer_class(max_features=max_features)
 
 
 class TestTransform:

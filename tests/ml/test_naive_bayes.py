@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.ml.naive_bayes import BernoulliNaiveBayes, MultinomialNaiveBayes
+from repro.ml.naive_bayes import MultinomialNaiveBayes
 from tests.ml.conftest import train_test
 
 
@@ -72,33 +72,3 @@ class TestMultinomialNB:
         clf = MultinomialNaiveBayes().fit(X, y)
         assert set(clf.predict(X)) <= {"savoury", "sweet"}
 
-
-class TestBernoulliNB:
-    def test_separable_binary_features(self, text_like_dataset):
-        X, y = text_like_dataset
-        Xtr, ytr, Xte, yte = train_test(X, y)
-        clf = BernoulliNaiveBayes().fit(Xtr, ytr)
-        assert clf.score(Xte, yte) > 0.8
-
-    def test_binarize_threshold(self):
-        X = np.array([[0.2, 0.9], [0.9, 0.2]])
-        y = np.array([0, 1])
-        clf = BernoulliNaiveBayes(binarize=0.5).fit(X, y)
-        assert clf.predict(np.array([[0.1, 0.99]]))[0] == 0
-
-    def test_probabilities_normalised(self, text_like_dataset):
-        X, y = text_like_dataset
-        clf = BernoulliNaiveBayes().fit(X, y)
-        probabilities = clf.predict_proba(X[:7])
-        assert np.allclose(probabilities.sum(axis=1), 1.0)
-
-    def test_absence_informative(self):
-        # Bernoulli NB uses absence of features; class 1 never has feature 0.
-        X = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        y = np.array([0, 0, 1, 1])
-        clf = BernoulliNaiveBayes().fit(X, y)
-        assert clf.predict(np.array([[0.0, 1.0]]))[0] == 1
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            BernoulliNaiveBayes(alpha=-0.5)

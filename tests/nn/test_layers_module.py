@@ -21,6 +21,15 @@ class _TwoLayer(Module):
         return self.second(self.first(x).relu()) * self.scale
 
 
+def _shifted_state() -> dict[str, np.ndarray]:
+    """A full state dict for ``_TwoLayer`` whose every value differs from a fresh one's."""
+    return {name: value + 1.0 for name, value in _TwoLayer().state_dict().items()}
+
+
+def _snapshot(model: Module) -> dict[str, bytes]:
+    return {name: parameter.data.tobytes() for name, parameter in model.named_parameters()}
+
+
 class TestModule:
     def test_named_parameters_cover_tree(self):
         model = _TwoLayer()
@@ -65,6 +74,51 @@ class TestModule:
         state["first.weight"] = np.zeros((2, 2))
         with pytest.raises(ValueError):
             model.load_state_dict(state)
+
+    def test_state_dict_strict_mismatch_names_both_key_sets(self):
+        model = _TwoLayer()
+        state = _shifted_state()
+        state["third.weight"] = state.pop("second.weight")
+        before = _snapshot(model)
+        with pytest.raises(ValueError) as excinfo:
+            model.load_state_dict(state)
+        message = str(excinfo.value)
+        assert "missing keys ['second.weight']" in message
+        assert "unexpected keys ['third.weight']" in message
+        assert _snapshot(model) == before
+
+    def test_state_dict_shape_mismatch_modifies_no_parameter(self):
+        """Shapes are checked for every key before any assignment, so the
+        parameters ahead of the bad one in tree order keep their bytes."""
+        model = _TwoLayer()
+        state = _shifted_state()
+        state["second.weight"] = np.zeros((8, 3))
+        before = _snapshot(model)
+        with pytest.raises(ValueError, match="no parameters were modified") as excinfo:
+            model.load_state_dict(state)
+        assert "second.weight: saved (8, 3) != model (8, 2)" in str(excinfo.value)
+        assert _snapshot(model) == before
+
+    def test_state_dict_non_strict_loads_intersection(self):
+        model = _TwoLayer()
+        state = _shifted_state()
+        del state["scale"]
+        state["extra"] = np.zeros(3)
+        model.load_state_dict(state, strict=False)
+        loaded = model.state_dict()
+        for name, value in state.items():
+            if name != "extra":
+                np.testing.assert_array_equal(loaded[name], value)
+        np.testing.assert_array_equal(loaded["scale"], [1.0])
+
+    def test_state_dict_non_strict_still_checks_shapes(self):
+        model = _TwoLayer()
+        state = _shifted_state()
+        state["second.weight"] = np.zeros((8, 3))
+        before = _snapshot(model)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            model.load_state_dict(state, strict=False)
+        assert _snapshot(model) == before
 
     def test_parameters_inside_lists_found(self):
         class WithList(Module):

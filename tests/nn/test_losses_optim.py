@@ -11,7 +11,7 @@ from repro.nn.losses import (
 )
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam, AdamW
-from repro.nn.schedules import ConstantSchedule, CosineWarmupDecay, LinearWarmupDecay
+from repro.nn.schedules import LinearWarmupDecay
 from repro.nn.tensor import Tensor
 
 
@@ -127,12 +127,6 @@ class TestOptimizers:
 
 
 class TestSchedules:
-    def test_constant_schedule(self):
-        optimizer = SGD([Parameter(np.zeros(1))], lr=0.3)
-        schedule = ConstantSchedule(optimizer)
-        for _ in range(5):
-            assert schedule.step() == pytest.approx(0.3)
-
     def test_linear_warmup_then_decay(self):
         optimizer = SGD([Parameter(np.zeros(1))], lr=1.0)
         schedule = LinearWarmupDecay(optimizer, peak_lr=1.0, warmup_steps=5, total_steps=20)
@@ -141,13 +135,6 @@ class TestSchedules:
         assert max(lrs) == pytest.approx(1.0)
         assert lrs[-1] < lrs[5]
         assert optimizer.lr == lrs[-1]
-
-    def test_cosine_decay_monotone_after_warmup(self):
-        optimizer = SGD([Parameter(np.zeros(1))], lr=1.0)
-        schedule = CosineWarmupDecay(optimizer, peak_lr=1.0, warmup_steps=2, total_steps=10)
-        lrs = [schedule.step() for _ in range(10)]
-        post_warmup = lrs[2:]
-        assert all(a >= b - 1e-9 for a, b in zip(post_warmup, post_warmup[1:]))
 
     def test_invalid_schedule_configs(self):
         optimizer = SGD([Parameter(np.zeros(1))], lr=1.0)

@@ -1,4 +1,4 @@
-"""Tests for the Transformer encoder, MLM pretraining and serialization."""
+"""Tests for the Transformer encoder, MLM pretraining and the state-dict round trip."""
 
 from dataclasses import replace
 
@@ -8,7 +8,6 @@ import pytest
 from repro.nn import mlm
 from repro.nn.losses import cross_entropy_logits, masked_cross_entropy_logits
 from repro.nn.mlm import MLMConfig, apply_mlm_masking, pretrain_mlm
-from repro.nn.serialization import load_model, save_model
 from repro.nn.transformer import (
     TransformerConfig,
     TransformerEncoder,
@@ -235,18 +234,11 @@ class TestMLMPretraining:
 
 
 class TestSerialization:
-    def test_roundtrip(self, config, tmp_path):
+    def test_roundtrip(self, config):
         model = TransformerForSequenceClassification(config, num_classes=4)
-        path = save_model(model, tmp_path / "model")
-        assert path.suffix == ".npz"
         clone = TransformerForSequenceClassification(config, num_classes=4)
         clone.encoder.token_embedding.weight.data += 1.0
-        load_model(clone, path)
+        clone.load_state_dict(model.state_dict())
         ids = np.random.default_rng(5).integers(0, config.vocab_size, size=(2, 6))
         model.eval(), clone.eval()
         assert np.allclose(model(ids).data, clone(ids).data)
-
-    def test_missing_file_raises(self, config, tmp_path):
-        model = TransformerForSequenceClassification(config, num_classes=4)
-        with pytest.raises(FileNotFoundError):
-            load_model(model, tmp_path / "missing.npz")

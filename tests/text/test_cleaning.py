@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text.cleaning import clean_item, clean_sequence, remove_digits_and_symbols
+from repro.text.cleaning import clean_item, remove_digits_and_symbols
 
 
 class TestRemoveDigitsAndSymbols:
@@ -37,14 +37,3 @@ class TestCleanItem:
     def test_symbol_only_item_becomes_empty(self):
         assert clean_item("***") == ""
 
-
-class TestCleanSequence:
-    def test_drops_empty_items(self):
-        assert clean_sequence(["onion", "123", "stir"]) == ["onion", "stir"]
-
-    def test_preserves_order(self):
-        sequence = ["water", "red lentil", "stir", "heat"]
-        assert clean_sequence(sequence) == sequence
-
-    def test_handles_empty_input(self):
-        assert clean_sequence([]) == []

@@ -1,6 +1,6 @@
 """Tests for tokenization."""
 
-from repro.text.tokenizer import tokenize, tokenize_sequence
+from repro.text.tokenizer import tokenize
 
 
 class TestTokenize:
@@ -22,25 +22,3 @@ class TestTokenize:
     def test_empty_string(self):
         assert tokenize("") == []
 
-
-class TestTokenizeSequence:
-    def test_item_tokens_by_default(self):
-        tokens = tokenize_sequence(["red lentil", "stir", "olive oil"])
-        assert tokens == ["red_lentil", "stir", "olive_oil"]
-
-    def test_split_items_mode(self):
-        tokens = tokenize_sequence(["red lentil", "stir"], split_items=True)
-        assert tokens == ["red", "lentil", "stir"]
-
-    def test_custom_separator(self):
-        tokens = tokenize_sequence(["red lentil"], item_separator="-")
-        assert tokens == ["red-lentil"]
-
-    def test_items_reduced_to_nothing_are_dropped(self):
-        tokens = tokenize_sequence(["123", "stir"])
-        assert tokens == ["stir"]
-
-    def test_order_preserved(self):
-        items = ["water", "red lentil", "stir", "heat", "pan"]
-        tokens = tokenize_sequence(items, split_items=True)
-        assert tokens == ["water", "red", "lentil", "stir", "heat", "pan"]

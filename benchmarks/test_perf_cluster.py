@@ -104,15 +104,15 @@ def _fleet_report(export_dir, request_pool, workers, n_requests, workdir):
         )
     finally:
         handle.stop()
-    return supervisor.mode, report
+    return report
 
 
 @pytest.mark.quick
 def test_perf_fleet_throughput_scales(export_dir, request_pool, tmp_path_factory):
-    mode, single = _fleet_report(
+    single = _fleet_report(
         export_dir, request_pool, 1, 120, tmp_path_factory.mktemp("fleet-1")
     )
-    _, quad = _fleet_report(
+    quad = _fleet_report(
         export_dir, request_pool, FLEET, 360, tmp_path_factory.mktemp("fleet-4")
     )
 
@@ -123,10 +123,9 @@ def test_perf_fleet_throughput_scales(export_dir, request_pool, tmp_path_factory
     # scale close to linearly regardless of host core count.
     assert speedup >= 2.5, (
         f"{FLEET}-worker fleet only reached {speedup:.2f}x of one worker "
-        f"({quad.throughput_rps:.0f} vs {single.throughput_rps:.0f} rps, {mode} mode)"
+        f"({quad.throughput_rps:.0f} vs {single.throughput_rps:.0f} rps)"
     )
     RESULTS["fleet_throughput_scaling"] = {
-        "mode": mode,
         "service_time_ms": 1000.0 * SERVICE_TIME,
         "workers": FLEET,
         "single_worker": single.as_dict(),

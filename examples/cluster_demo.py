@@ -4,9 +4,9 @@ Walks the scale-out story of the reproduction stack:
 
 1. train a model and export it as a versioned bundle;
 2. prefork a two-worker :class:`repro.cluster.ClusterSupervisor` over the
-   export — one public port (``SO_REUSEPORT`` where the platform has it,
-   a consistent-hash balancer otherwise), memory-mapped bundles so the
-   workers share one physical copy of the model arrays;
+   export — one ``SO_REUSEPORT`` public port the kernel spreads across the
+   workers, memory-mapped bundles so the workers share one physical copy
+   of the model arrays;
 3. read the fleet like an operator would — merged ``/healthz``,
    per-worker membership, flat-text ``/metrics`` — from the supervisor's
    control port;
@@ -71,7 +71,7 @@ def main() -> None:
         )
         handle = supervisor.start_in_thread()
         print(
-            f"    {supervisor.mode} mode: data http://127.0.0.1:{handle.port}, "
+            f"    data http://127.0.0.1:{handle.port} (SO_REUSEPORT), "
             f"control http://127.0.0.1:{handle.control_port}"
         )
 

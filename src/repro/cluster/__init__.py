@@ -1,9 +1,8 @@
-"""Multi-process scale-out tier: prefork supervisor, fleet metrics, balancer.
+"""Multi-process scale-out tier: prefork supervisor and fleet metrics.
 
 See :mod:`repro.cluster.supervisor` for the architecture overview.
 """
 
-from repro.cluster.balancer import ClusterBalancer, HashRing
 from repro.cluster.metrics import (
     merge_counter_dicts,
     merge_health_snapshots,
@@ -13,16 +12,12 @@ from repro.cluster.supervisor import (
     ClusterHandle,
     ClusterSupervisor,
     Worker,
-    has_reuseport,
 )
 
 __all__ = [
-    "ClusterBalancer",
     "ClusterHandle",
     "ClusterSupervisor",
-    "HashRing",
     "Worker",
-    "has_reuseport",
     "merge_counter_dicts",
     "merge_health_snapshots",
     "merge_histograms",

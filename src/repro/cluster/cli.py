@@ -3,25 +3,25 @@
 The cluster counterpart of ``repro-serve``:
 
 * ``repro-cluster --export-dir runs/export --workers 4`` serves the export
-  from four worker processes sharing one port (``SO_REUSEPORT``; a
-  consistent-hash balancer where the platform lacks it);
+  from four worker processes sharing one ``SO_REUSEPORT`` port: the kernel
+  spreads connections across them;
 * ``repro-cluster --demo --workers 2`` trains the demo model **once** and
   serves it as ``cuisine@v1`` from two workers.
 
 It parses the flags it shares with ``repro-serve`` (what to serve, where,
 ``--admin-token``, ``--log-level``) from the same declaration, and adds only
-``--workers``, ``--mode``, ``--control-port`` and ``--no-mmap-bundles``.
+``--workers``, ``--control-port`` and ``--no-mmap-bundles``.
 Every other ``repro-serve`` flag (``--cache-size``, ``--max-batch-items``,
 the trace flags, ...) is a worker tuning flag: it is forwarded verbatim to
 every worker, after one parse in the supervisor that rejects a malformed or
 unknown flag before any worker starts.
 
 The supervisor's control address (``--control-port``) serves the fleet
-view: merged ``/healthz`` and ``/metrics``, ``/workers``, ``/admin``
-fan-out, and — guarded by ``--admin-token`` — ``POST /cluster/restart``
-(rolling, zero-downtime) and ``POST /cluster/resize``.  ``--ready-file``
-writes ``{host, port, control_port, pid, workers}`` once the fleet is
-serving.  SIGTERM/SIGINT drain every worker gracefully before exit.
+view: merged ``/healthz``, ``/metrics`` and ``/debug/traces``,
+``/workers``, ``/admin`` fan-out, and — guarded by ``--admin-token`` —
+``POST /cluster/restart`` (rolling, zero-downtime) and ``POST
+/cluster/resize``.  ``--ready-file`` writes ``{host, port, control_port,
+pid, workers}`` once the fleet is serving.  SIGTERM/SIGINT drain every worker gracefully before exit.
 """
 
 from __future__ import annotations
@@ -56,13 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_shared_arguments(parser)
     parser.add_argument("--workers", type=int, default=2, help="fleet size")
     parser.add_argument(
-        "--mode",
-        choices=("auto", "reuseport", "balancer"),
-        default="auto",
-        help="how the fleet shares the public port (auto: reuseport when "
-        "the platform supports it, balancer otherwise)",
-    )
-    parser.add_argument(
         "--control-port",
         type=int,
         default=0,
@@ -95,7 +88,6 @@ def main(argv: list[str] | None = None) -> int:
             route=args.route,
             version=args.version,
             admin_token=args.admin_token,
-            mode=args.mode,
             mmap_bundles=args.mmap_bundles,
             worker_args=["--log-level", args.log_level, *worker_args],
         )

@@ -1,18 +1,12 @@
 """The multi-process scale-out tier: a prefork supervisor over repro workers.
 
 One :class:`ClusterSupervisor` owns a fleet of ``repro.server`` worker
-**processes** serving the same bundles on one public address:
-
-* **reuseport mode** (default wherever the platform has ``SO_REUSEPORT``,
-  i.e. Linux/BSD/macOS): the supervisor binds one ``SO_REUSEPORT``
-  listening socket *per worker* on the same port and hands each worker its
-  socket by file descriptor (``repro-serve --socket-fd``).  The kernel
-  spreads incoming connections across the workers — no proxy hop on the
-  data path;
-* **balancer mode** (fallback, or ``mode="balancer"``): workers bind
-  private ephemeral ports and a
-  :class:`~repro.cluster.balancer.ClusterBalancer` on the public port
-  consistent-hashes routing keys across them.
+**processes** serving the same bundles on one public address.  The
+supervisor binds one ``SO_REUSEPORT`` listening socket *per worker* on the
+same port and hands each worker its socket by file descriptor
+(``repro-serve --socket-fd``).  The kernel spreads incoming connections
+across the workers — no proxy hop on the data path.  A platform without
+``SO_REUSEPORT`` cannot run a fleet.
 
 Each worker also opens a private **control port** (the same HTTP surface on
 a per-process address), which is what keeps a shared-port fleet manageable:
@@ -25,7 +19,7 @@ own control server, which runs on the same
 
 Crashed workers are respawned with exponential backoff.  A **rolling
 restart** replaces workers one at a time, spawn-before-drain: the
-replacement is serving on the shared port (or in the ring) *before* the
+replacement is serving on the shared port *before* the
 old worker gets SIGTERM and drains its in-flight requests — under a
 keep-alive client with stale-socket retry, a full fleet roll drops zero
 requests.
@@ -48,11 +42,10 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.cluster.balancer import ClusterBalancer
 from repro.cluster.metrics import merge_health_snapshots
 from repro.loadgen.client import ClientConnection
 from repro.observability import render_metrics_text
@@ -68,11 +61,6 @@ _BACKOFF_BASE = 0.5
 _BACKOFF_CAP = 8.0
 
 
-def has_reuseport() -> bool:
-    """Whether this platform can share one port across worker processes."""
-    return hasattr(socket, "SO_REUSEPORT")
-
-
 @dataclass
 class Worker:
     """One live worker process and where to reach it."""
@@ -85,7 +73,6 @@ class Worker:
     restarts: int = 0
     #: Deliberate shutdown in progress — the crash monitor must not respawn.
     stopping: bool = False
-    backend_name: str = field(default="")
 
     @property
     def alive(self) -> bool:
@@ -137,8 +124,6 @@ class ClusterSupervisor(HTTPFrontEnd):
             directory, or a demo logreg the supervisor trains **once** and
             every worker loads (as route ``cuisine``).
         route: Serve a single-bundle export under this route name.
-        mode: ``"reuseport"``, ``"balancer"``, or ``"auto"`` (reuseport
-            when the platform supports it).
         mmap_bundles: Workers map bundle arrays from the shared extracted
             archive instead of copying them per process (default on — the
             point of a prefork fleet).
@@ -152,8 +137,7 @@ class ClusterSupervisor(HTTPFrontEnd):
             the trace flags, ``--log-level``), appended verbatim to every
             worker's command.  They are parsed once here: a malformed or
             unknown flag, or ``--admin-token``, raises ``ValueError``.  The
-            supervisor reads its own drain timeout from them, and the
-            balancer its trace settings and ``max_body_bytes``.
+            supervisor reads its own drain timeout from them.
     """
 
     handle_class = ClusterHandle
@@ -172,7 +156,6 @@ class ClusterSupervisor(HTTPFrontEnd):
         route: str | None = None,
         version: str = "v1",
         admin_token: str | None = None,
-        mode: str = "auto",
         mmap_bundles: bool = True,
         spawn_timeout: float = 120.0,
         workdir: str | Path | None = None,
@@ -182,10 +165,8 @@ class ClusterSupervisor(HTTPFrontEnd):
             raise ValueError(f"workers must be >= 1, got {workers}")
         if (export_dir is None) == (not demo):
             raise ValueError("exactly one of export_dir or demo is required")
-        if mode not in ("auto", "reuseport", "balancer"):
-            raise ValueError(f"mode must be auto/reuseport/balancer, got {mode!r}")
-        if mode == "reuseport" and not has_reuseport():
-            raise ValueError("this platform has no SO_REUSEPORT; use mode='balancer'")
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise ValueError("this platform has no SO_REUSEPORT to share the fleet's port")
         self.worker_args = tuple(worker_args)
         self.worker_options = parse_worker_args(self.worker_args)
         super().__init__(host, port)
@@ -198,7 +179,6 @@ class ClusterSupervisor(HTTPFrontEnd):
         self.route = route
         self.version = version
         self.admin_token = admin_token
-        self.mode = mode if mode != "auto" else ("reuseport" if has_reuseport() else "balancer")
         self.mmap_bundles = mmap_bundles
         self.drain_timeout = self.worker_options.drain_timeout
         self.spawn_timeout = spawn_timeout
@@ -209,8 +189,6 @@ class ClusterSupervisor(HTTPFrontEnd):
         self._respawns = 0
         self._spawn_serial = itertools.count()
         self._fleet_lock: asyncio.Lock | None = None
-        self._balancer: ClusterBalancer | None = None
-        self._balancer_task: asyncio.Task | None = None
         self._monitor_task: asyncio.Task | None = None
         self._tmpdir: tempfile.TemporaryDirectory | None = None
 
@@ -232,30 +210,14 @@ class ClusterSupervisor(HTTPFrontEnd):
             self.export_dir = str(bundle.parent)
             if self.route is None:
                 self.route = "cuisine"
-        if self.mode == "balancer":
-            options = self.worker_options
-            self._balancer = ClusterBalancer(
-                host=self.host,
-                port=self.port,
-                max_body_bytes=options.max_body_bytes,
-                trace_sample=None if options.no_trace else options.trace_sample,
-                trace_slow_ms=options.trace_slow_ms,
-                trace_seed=options.trace_seed,
-            )
-            started = asyncio.Event()
-            self._balancer_task = asyncio.create_task(
-                self._balancer.serve(ready=started.set)
-            )
-            await started.wait()
-            self.port = self._balancer.port
         async with self._fleet_lock:
             for index in range(self.workers):
-                self._adopt(await self._spawn(index))
+                self._workers[index] = await self._spawn(index)
         self.control_port = (await self._listen(self.control_port))[1]
         self._monitor_task = asyncio.create_task(self._monitor())
         logger.info(
-            "repro.cluster: %d workers on %s:%d (%s mode), control on :%d",
-            len(self._workers), self.host, self.port, self.mode, self.control_port,
+            "repro.cluster: %d workers on %s:%d, control on :%d",
+            len(self._workers), self.host, self.port, self.control_port,
         )
 
     async def _close(self) -> None:
@@ -272,10 +234,6 @@ class ClusterSupervisor(HTTPFrontEnd):
         await asyncio.gather(
             *(self._terminate(worker) for worker in workers), return_exceptions=True
         )
-        if self._balancer is not None:
-            self._balancer.request_stop()
-            if self._balancer_task is not None:
-                await self._balancer_task
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
@@ -330,21 +288,13 @@ class ClusterSupervisor(HTTPFrontEnd):
             command += ["--route", self.route]
         if self.mmap_bundles:
             command += ["--mmap-bundles"]
-        sock: socket.socket | None = None
-        pass_fds: tuple[int, ...] = ()
-        if self.mode == "reuseport":
-            sock = self._listen_socket()
-            command += ["--socket-fd", str(sock.fileno())]
-            pass_fds = (sock.fileno(),)
-        else:
-            command += ["--host", self.host, "--port", "0"]
-        command += self.worker_args
-        process = subprocess.Popen(command, pass_fds=pass_fds, env=self._worker_env())
-        if sock is not None:
-            # The worker holds its own copy now; keeping ours open would
-            # leave a dead listener accepting (and stranding) connections
-            # after the worker exits.
-            sock.close()
+        sock = self._listen_socket()
+        command += ["--socket-fd", str(sock.fileno()), *self.worker_args]
+        process = subprocess.Popen(command, pass_fds=(sock.fileno(),), env=self._worker_env())
+        # The worker holds its own copy now; keeping ours open would leave a
+        # dead listener accepting (and stranding) connections after the
+        # worker exits.
+        sock.close()
         info = await self._await_ready(process, ready_path)
         worker = Worker(
             index=index,
@@ -353,7 +303,6 @@ class ClusterSupervisor(HTTPFrontEnd):
             control_port=int(info["control_port"]),
             started_at=time.monotonic(),
         )
-        worker.backend_name = f"{index}@{worker.port}"
         logger.info(
             "repro.cluster: worker %d up (pid %d, port %d, control %d)",
             index, process.pid, worker.port, worker.control_port,
@@ -377,16 +326,9 @@ class ClusterSupervisor(HTTPFrontEnd):
                 raise TimeoutError(f"worker not ready within {self.spawn_timeout}s")
             await asyncio.sleep(0.05)
 
-    def _adopt(self, worker: Worker) -> None:
-        self._workers[worker.index] = worker
-        if self._balancer is not None:
-            self._balancer.add_backend(worker.backend_name, self.host, worker.port)
-
     async def _terminate(self, worker: Worker) -> None:
         """SIGTERM one worker and wait out its graceful drain."""
         worker.stopping = True
-        if self._balancer is not None:
-            self._balancer.remove_backend(worker.backend_name)
         try:
             worker.process.send_signal(signal.SIGTERM)
         except ProcessLookupError:
@@ -418,8 +360,6 @@ class ClusterSupervisor(HTTPFrontEnd):
                         "repro.cluster: worker %d died (status %s); respawning in %.1fs",
                         index, worker.process.returncode, delay,
                     )
-                    if self._balancer is not None:
-                        self._balancer.remove_backend(worker.backend_name)
                     await asyncio.sleep(delay)
                     try:
                         replacement = await self._spawn(index)
@@ -430,7 +370,7 @@ class ClusterSupervisor(HTTPFrontEnd):
                         continue
                     replacement.restarts = worker.restarts + 1
                     self._respawns += 1
-                    self._adopt(replacement)
+                    self._workers[index] = replacement
 
     # ------------------------------------------------------------------
     # fleet operations
@@ -438,8 +378,8 @@ class ClusterSupervisor(HTTPFrontEnd):
     async def rolling_restart(self) -> list[int]:
         """Replace every worker one at a time, spawn-before-drain.
 
-        The replacement worker is accepting on the shared port (reuseport)
-        or in the ring (balancer) *before* the old worker is told to drain,
+        The replacement worker is accepting on the shared port *before* the
+        old worker is told to drain,
         so the fleet never has fewer than ``workers`` serving processes.
         """
         assert self._fleet_lock is not None
@@ -449,7 +389,7 @@ class ClusterSupervisor(HTTPFrontEnd):
                 old = self._workers[index]
                 replacement = await self._spawn(index)
                 replacement.restarts = old.restarts + 1
-                self._adopt(replacement)  # replaces the dict slot; old drains below
+                self._workers[index] = replacement  # old drains below
                 await self._terminate(old)
                 restarted.append(index)
                 logger.info("repro.cluster: rolled worker %d", index)
@@ -470,7 +410,7 @@ class ClusterSupervisor(HTTPFrontEnd):
             index = 0
             while len(self._workers) < target:
                 if index not in self._workers:
-                    self._adopt(await self._spawn(index))
+                    self._workers[index] = await self._spawn(index)
                 index += 1
             self.workers = target
         return target
@@ -533,7 +473,6 @@ class ClusterSupervisor(HTTPFrontEnd):
         if any(not member["reachable"] for member in members):
             merged["status"] = "degraded"
         merged["cluster"] = {
-            "mode": self.mode,
             "port": self.port,
             "workers": sum(1 for worker, _ in snapshots if worker.alive),
             "target_workers": self.workers,
@@ -562,60 +501,48 @@ class ClusterSupervisor(HTTPFrontEnd):
         }
 
     async def fleet_traces(self) -> dict:
-        """Fleet-wide trace summaries: every worker's store + the balancer's.
+        """Fleet-wide trace summaries from every worker's store.
 
-        Summaries sharing one trace id (a balancer hop stitched to a worker's
-        server spans) merge into a single row listing every origin that holds
-        a piece of the trace.
+        Workers mint distinct ids, so a row normally has one origin.  A
+        client that sends its own ``X-Repro-Trace`` id on requests landing
+        on several workers gets one row listing every origin that holds a
+        piece of that trace.
         """
         payloads = await self._get_all("/debug/traces")
         by_id: dict[str, dict] = {}
-
-        def fold(summary: dict, origin: str) -> None:
-            trace_id = summary.get("trace_id")
-            if not trace_id:
-                return
-            merged = by_id.get(trace_id)
-            if merged is None:
-                merged = by_id[trace_id] = dict(summary)
-                merged["origins"] = []
-            else:
-                merged["spans"] = merged.get("spans", 0) + summary.get("spans", 0)
-                merged["error"] = bool(merged.get("error")) or bool(summary.get("error"))
-                merged["slow"] = bool(merged.get("slow")) or bool(summary.get("slow"))
-                merged["duration_ms"] = max(
-                    merged.get("duration_ms") or 0.0, summary.get("duration_ms") or 0.0
-                )
-            merged["origins"].append(origin)
-
-        if self._balancer is not None:
-            for summary in self._balancer.traces.list():
-                fold(summary, "balancer")
+        stats = {}
         for worker, payload in payloads:
             if payload is None:
                 continue
+            origin = f"worker-{worker.index}"
+            if "stats" in payload:
+                stats[origin] = payload["stats"]
             for summary in payload.get("traces", ()):
-                fold(summary, f"worker-{worker.index}")
-        stats = {}
-        for worker, payload in payloads:
-            if payload is not None and "stats" in payload:
-                stats[f"worker-{worker.index}"] = payload["stats"]
-        if self._balancer is not None:
-            stats["balancer"] = self._balancer.traces.stats()
+                trace_id = summary.get("trace_id")
+                if not trace_id:
+                    continue
+                merged = by_id.get(trace_id)
+                if merged is None:
+                    merged = by_id[trace_id] = dict(summary)
+                    merged["origins"] = []
+                else:
+                    merged["spans"] = merged.get("spans", 0) + summary.get("spans", 0)
+                    merged["error"] = bool(merged.get("error")) or bool(summary.get("error"))
+                    merged["slow"] = bool(merged.get("slow")) or bool(summary.get("slow"))
+                    merged["duration_ms"] = max(
+                        merged.get("duration_ms") or 0.0, summary.get("duration_ms") or 0.0
+                    )
+                merged["origins"].append(origin)
         return {"traces": list(by_id.values()), "stats": stats}
 
     async def fleet_trace(self, trace_id: str) -> dict | None:
-        """One merged trace: balancer spans + every worker's spans, stitched
-        by the shared id, each span annotated with its origin."""
-        payloads = await self._get_all(f"/debug/traces/{trace_id}")
-        pieces: list[tuple[str, dict]] = []
-        if self._balancer is not None:
-            stored = self._balancer.traces.get(trace_id)
-            if stored is not None:
-                pieces.append(("balancer", stored))
-        for worker, payload in payloads:
-            if payload is not None:
-                pieces.append((f"worker-{worker.index}", payload))
+        """One trace from every worker holding spans under *trace_id*, each
+        span annotated with its origin."""
+        pieces = [
+            (f"worker-{worker.index}", payload)
+            for worker, payload in await self._get_all(f"/debug/traces/{trace_id}")
+            if payload is not None
+        ]
         if not pieces:
             return None
         merged: dict = {
@@ -669,7 +596,7 @@ class ClusterSupervisor(HTTPFrontEnd):
             if merged is None:
                 raise HTTPError(
                     404, "unknown_trace",
-                    f"no worker or balancer holds a trace {segments[2]!r}",
+                    f"no worker holds a trace {segments[2]!r}",
                 )
             return 200, merged
         if len(segments) == 4 and segments[:2] == ("admin", "routes"):

@@ -21,7 +21,6 @@ from repro.loadgen.harness import (
     GatewayTarget,
     HTTPTarget,
     LoadReport,
-    MultiHTTPTarget,
     latency_summary,
     run_closed_loop,
     run_open_loop,
@@ -43,7 +42,6 @@ __all__ = [
     "KEY_DISTRIBUTIONS",
     "SEQUENCE_DISTRIBUTIONS",
     "LoadReport",
-    "MultiHTTPTarget",
     "Workload",
     "WorkloadRequest",
     "build_workload",

@@ -23,7 +23,6 @@ error and shed counts — whose ``save()`` emits the JSON artifact the
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -120,39 +119,6 @@ class HTTPTarget:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-
-
-class MultiHTTPTarget:
-    """Drive several servers as one fleet, striping requests by routing key.
-
-    For benchmarking worker fleets without a front balancer: each request's
-    key picks a member (stable BLAKE2b hash), so per-key affinity matches
-    what a consistent-hash tier would do and every member sees a fair,
-    deterministic share of the key space.
-    """
-
-    def __init__(self, addresses: Iterable[tuple[str, int]], route: str) -> None:
-        self._targets = [HTTPTarget(host, port, route) for host, port in addresses]
-        if not self._targets:
-            raise ValueError("MultiHTTPTarget needs at least one address")
-        self.route = route
-
-    @property
-    def retries(self) -> int:
-        return sum(target.retries for target in self._targets)
-
-    def _member(self, key: str) -> HTTPTarget:
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return self._targets[int.from_bytes(digest, "big") % len(self._targets)]
-
-    async def predict(
-        self, sequence: tuple[str, ...], key: str
-    ) -> tuple[str, str | None]:
-        return await self._member(key).predict(sequence, key)
-
-    async def aclose(self) -> None:
-        for target in self._targets:
-            await target.aclose()
 
 
 @dataclass(frozen=True)

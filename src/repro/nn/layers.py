@@ -61,15 +61,6 @@ class Embedding(Module):
             raise ValueError("token id out of range for the embedding table")
         return self.weight.embedding_lookup(ids)
 
-    def load_pretrained(self, matrix: np.ndarray) -> None:
-        """Initialise from a pretrained matrix of the table's shape."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != self.weight.data.shape:
-            raise ValueError(
-                f"pretrained matrix shape {matrix.shape} != {self.weight.data.shape}"
-            )
-        self.weight.data = matrix.copy()
-
 
 class LayerNorm(Module):
     """Layer normalisation over the last dimension."""

@@ -12,7 +12,7 @@ dependency-free HTTP/1.1 server built directly on :mod:`asyncio` streams:
   (deploy / swap / rollback / retire / set-policy), bounded-concurrency
   admission control with fast 429 shedding, and graceful drain — on
   :class:`~repro.server.app.HTTPFrontEnd`, the connection loop and
-  lifecycle the cluster balancer and supervisor run on too;
+  lifecycle the cluster supervisor runs on too;
 * :mod:`repro.server.cli` — the ``repro-serve`` console entry point.
 
 The sibling :mod:`repro.loadgen` package generates seeded traffic against

@@ -34,8 +34,8 @@ start immediately instead of queueing behind each other.
 
 The connection loop, size limits, response mapping, drain, admin-token
 check and thread lifecycle are :class:`HTTPFrontEnd`, which
-:class:`ModelServer`, the cluster balancer and the cluster supervisor's
-control server all run on; each keeps only its own dispatch.
+:class:`ModelServer` and the cluster supervisor's control server both run
+on; each keeps only its own dispatch.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.eval.canary import evaluate_route
@@ -154,14 +153,6 @@ class _Connection:
         self.task: asyncio.Task | None = None
 
 
-@dataclass(frozen=True)
-class RawBody:
-    """A response body sent as-is under its own content type (a relayed answer)."""
-
-    body: bytes
-    content_type: str
-
-
 class ServerHandle:
     """Control handle for a front end running in a background thread."""
 
@@ -199,8 +190,8 @@ class HTTPFrontEnd:
     and the background-thread lifecycle.  A subclass supplies ``_open``
     (bind listeners with :meth:`_listen`, start what else it runs),
     ``_dispatch`` (a request to ``(status, payload)``) and ``_close`` (tear
-    down after the drain).  A payload is JSON, a ``str`` (sent as
-    ``text/plain``) or a :class:`RawBody`.
+    down after the drain).  A payload is JSON or a ``str`` (sent as
+    ``text/plain``).
 
     The loop calls ``read_request`` and ``json_response`` through this
     module's globals, so a benchmark can time parsing and serialization by
@@ -399,20 +390,16 @@ class HTTPFrontEnd:
         if status >= 400:
             self.counters.increment(f"errors:{status}")
         extra_headers = {TRACE_HEADER: trace.trace_id} if trace is not None else None
-        if isinstance(payload, RawBody):
-            body, content_type = payload.body, payload.content_type
-        elif isinstance(payload, str):  # pre-rendered plain text (``/metrics``)
-            body, content_type = payload.encode("utf-8"), "text/plain; charset=utf-8"
-        else:
-            return json_response(
-                status, payload, keep_alive=keep_alive, extra_headers=extra_headers
+        if isinstance(payload, str):  # pre-rendered plain text (``/metrics``)
+            return render_response(
+                status,
+                payload.encode("utf-8"),
+                content_type="text/plain; charset=utf-8",
+                keep_alive=keep_alive,
+                extra_headers=extra_headers,
             )
-        return render_response(
-            status,
-            body,
-            content_type=content_type,
-            keep_alive=keep_alive,
-            extra_headers=extra_headers,
+        return json_response(
+            status, payload, keep_alive=keep_alive, extra_headers=extra_headers
         )
 
     @staticmethod
@@ -460,7 +447,8 @@ class ModelServer(HTTPFrontEnd):
             Workers behind a shared port stay individually addressable
             through it for health checks and admin fan-out.
         worker_id: Fleet index reported in the ``server`` stats block of
-            ``/healthz`` and ``/metrics`` (``None`` outside a fleet).
+            ``/healthz`` and ``/metrics`` and folded into this worker's
+            trace ids (``None`` outside a fleet).
         admin_token: Shared secret for the ``/admin`` control plane; ``None``
             disables admin endpoints entirely (403).
         max_inflight: Admission window — prediction requests beyond this
@@ -479,6 +467,7 @@ class ModelServer(HTTPFrontEnd):
             is always kept.
         trace_seed: Seed for deterministic trace ids and the head-sampling
             hash — a seeded loadgen scenario reproduces the same trace set.
+            Fleet workers share it; their ids differ by ``worker_id``.
         trace_capacity: Ring-buffer size of the in-process trace store
             behind ``GET /debug/traces``.
     """
@@ -527,6 +516,7 @@ class ModelServer(HTTPFrontEnd):
             sample=trace_sample if trace_sample is not None else 0.0,
             slow_ms=trace_slow_ms,
             enabled=trace_sample is not None,
+            worker_id=worker_id,
         )
         self.traces = TraceStore(trace_capacity, slow_ms=trace_slow_ms)
 

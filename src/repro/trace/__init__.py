@@ -3,16 +3,16 @@
 A :class:`Trace` carries a deterministic 128-bit id and an ordered list of
 :class:`Span` records (name, parent, monotonic start/duration, structured
 attributes).  Context propagates in-process through a ``contextvars`` variable
-and across the balancer → worker network hop through the ``X-Repro-Trace``
-header, so a single id stitches the L7 balancer span to the worker's
-server/gateway/service spans.
+and across a client → server network hop through the ``X-Repro-Trace``
+header, so a client's own id stitches to the server/gateway/service spans.
 
 Design constraints (see docs/architecture.md, "Request tracing"):
 
 * **Deterministic** — trace ids derive from ``(seed, request key, per-key
-  counter)`` via BLAKE2b; head sampling hashes the request key.  No
-  wall-clock and no ``os.urandom`` anywhere in the id path, so a seeded
-  loadgen scenario reproduces the same sampled trace set run after run.
+  counter)`` via BLAKE2b, personalised by the fleet worker id; head
+  sampling hashes the request key.  No wall-clock and no ``os.urandom``
+  anywhere in the id path, so a seeded loadgen scenario reproduces the
+  same sampled trace set run after run.
 * **Off the critical path** — a disabled tracer returns ``None`` from
   ``begin()``; sampled-out requests still get an id (so the response header
   and exemplars work) but every span helper degrades to a no-op.

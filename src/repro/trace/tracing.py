@@ -6,13 +6,17 @@ and ``repro.cluster`` all import it, never the other way around.
 
 Id derivation
 -------------
-``trace_id = blake2b("{seed}|{key}|{n}", digest_size=16)`` where ``n`` is a
-per-key monotonic counter.  128 bits, hex-encoded, fully determined by the
-tracer seed and the order of requests per key — replaying a seeded loadgen
-scenario yields byte-identical trace ids.  The head-sampling verdict hashes
-only ``(seed, key)``, so every request of a given key is sampled (or not)
-consistently, and changing the sample *rate* never re-shuffles which keys
-are chosen first.
+``trace_id = blake2b("{seed}|{key}|{n}", digest_size=16, person=worker)``
+where ``n`` is a per-key monotonic counter and ``worker`` is the fleet
+worker id (empty outside a fleet, which is BLAKE2b's all-zero default).
+128 bits, hex-encoded, fully determined by the tracer seed, the worker and
+the order of requests per key — replaying a seeded loadgen scenario yields
+byte-identical trace ids.  Fleet workers share one seed and count keys
+independently, so the worker personalisation is what keeps two workers
+from minting one id for two different requests.  The head-sampling verdict
+hashes only ``(seed, key)``, so every request of a given key is sampled (or
+not) consistently on every worker, and changing the sample *rate* never
+re-shuffles which keys are chosen first.
 
 Propagation
 -----------
@@ -20,8 +24,8 @@ In-process context rides a :data:`contextvars.ContextVar` holding
 ``(trace, parent_span_id)``.  ``asyncio``'s ``run_in_executor`` does **not**
 propagate contextvars into pool threads, so the server copies the context
 inside :func:`activate` and runs the pool call in that copy.  Across the
-network, the balancer injects
-``X-Repro-Trace: <id>;sampled=<0|1>;parent=<span>`` and the worker adopts it
+network, a client may send
+``X-Repro-Trace: <id>;sampled=<0|1>;parent=<span>`` and the server adopts it
 with :meth:`Tracer.adopt`.
 """
 
@@ -108,9 +112,9 @@ class Span:
 class Trace:
     """A deterministic 128-bit id plus an ordered list of spans.
 
-    Span append is guarded by a lock — the server root span, the executor
-    thread running the gateway call, and the balancer's event loop may all
-    contribute spans to the same trace object.
+    Span append is guarded by a lock — the server root span on the event
+    loop and the executor thread running the gateway call both contribute
+    spans to the same trace object.
     """
 
     __slots__ = (
@@ -272,7 +276,9 @@ class Tracer:
     tail-sampling latency threshold used by the :class:`TraceStore` this
     tracer feeds.  A tracer constructed with ``enabled=False`` returns
     ``None`` from :meth:`begin` — the entire instrumentation surface then
-    degrades to a single ``is None`` check per request.
+    degrades to a single ``is None`` check per request.  ``worker_id``
+    personalises the ids of one fleet worker (see the module docstring);
+    ``None`` mints the ids of a lone server.
     """
 
     def __init__(
@@ -282,7 +288,11 @@ class Tracer:
         sample: float = 1.0,
         slow_ms: float = 250.0,
         enabled: bool = True,
+        worker_id: int | None = None,
     ) -> None:
+        self._person = b"" if worker_id is None else str(int(worker_id)).encode("ascii")
+        if len(self._person) > hashlib.blake2b.PERSON_SIZE:
+            raise ValueError(f"worker_id {worker_id} is too long to personalise trace ids")
         self.seed = int(seed)
         self.sample = min(1.0, max(0.0, float(sample)))
         self.slow_ms = float(slow_ms)
@@ -304,11 +314,11 @@ class Tracer:
     def trace_id_for(self, key: str) -> str:
         """Deterministic 128-bit id: BLAKE2b over seed, key, per-key count.
 
-        The counter generation is the BLAKE2b salt.  Generation 0 is the
-        all-zero default salt, so ids minted before the first counter clear
-        are unchanged; later generations hash under a different salt, which
-        a key containing the separator cannot forge the way it could a
-        payload suffix.
+        The worker id is the BLAKE2b personalisation and the counter
+        generation its salt.  Generation 0 is the all-zero default salt, so
+        ids minted before the first counter clear are unchanged; later
+        generations hash under a different salt, which a key containing the
+        separator cannot forge the way it could a payload suffix.
         """
         with self._lock:
             if len(self._key_counts) > _MAX_TRACKED_KEYS:
@@ -322,6 +332,7 @@ class Tracer:
             payload.encode("utf-8"),
             digest_size=16,
             salt=generation.to_bytes(16, "little"),
+            person=self._person,
         ).hexdigest()
 
     def begin(self, key: str, *, sampled: bool | None = None) -> Trace | None:
@@ -335,7 +346,7 @@ class Tracer:
     def adopt(
         self, trace_id: str, key: str, *, sampled: bool
     ) -> Trace | None:
-        """Continue a trace started upstream (balancer → worker hop)."""
+        """Continue a trace whose id a client sent in ``X-Repro-Trace``."""
         if not self.enabled:
             return None
         return Trace(trace_id, key, sampled=sampled)

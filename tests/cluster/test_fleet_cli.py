@@ -1,7 +1,7 @@
 """``repro-cluster`` and ``repro-serve`` share one flag declaration.
 
 ``repro-cluster`` parses what to serve, where, the admin token and the log
-level from the same declaration as ``repro-serve``, adds its four fleet
+level from the same declaration as ``repro-serve``, adds its three fleet
 flags, and forwards every other ``repro-serve`` flag to the workers after
 one parse in :class:`ClusterSupervisor`.
 """
@@ -56,7 +56,7 @@ SERVE_FLAGS = {
 }
 #: Flags only a single ``repro-serve`` process takes (the supervisor sets them).
 PER_PROCESS = {"--socket-fd", "--worker-id", "--control-port", "--mmap-bundles"}
-CLUSTER_OWN = {"--workers", "--mode", "--control-port", "--no-mmap-bundles"}
+CLUSTER_OWN = {"--workers", "--control-port", "--no-mmap-bundles"}
 
 
 def _options(parser) -> dict[str, object]:
@@ -155,18 +155,22 @@ def test_admin_token_is_not_a_worker_flag(worker_args):
     assert "s3cret" not in str(error.value)
 
 
-def test_balancer_takes_forwarded_max_body_bytes(cluster_export_dir, tmp_path):
+def test_platform_without_reuseport_cannot_run_a_fleet(monkeypatch):
+    monkeypatch.delattr("socket.SO_REUSEPORT")
+    with pytest.raises(ValueError, match="SO_REUSEPORT"):
+        ClusterSupervisor(demo=True)
+
+
+def test_workers_take_forwarded_max_body_bytes(cluster_export_dir, tmp_path):
     supervisor = ClusterSupervisor(
         workers=1,
         export_dir=cluster_export_dir,
         route="cuisine",
-        mode="balancer",
         workdir=tmp_path,
         worker_args=["--max-body-bytes", "4096", "--drain-timeout", "5"],
     )
     handle = supervisor.start_in_thread()
     try:
-        assert supervisor._balancer.max_body_bytes == 4096
         (worker,) = supervisor._workers.values()
         assert worker.process.args[-4:] == [
             "--max-body-bytes", "4096", "--drain-timeout", "5",

@@ -14,18 +14,11 @@ from __future__ import annotations
 import threading
 import time
 
-import pytest
-
-from repro.cluster import ClusterSupervisor, has_reuseport
+from repro.cluster import ClusterSupervisor
 from repro.loadgen import HTTPTarget, build_workload, run_open_loop
 
-MODES = ["reuseport", "balancer"] if has_reuseport() else ["balancer"]
 
-
-@pytest.mark.parametrize("mode", MODES)
-def test_rolling_restart_drops_nothing(
-    mode, cluster_export_dir, tiny_corpus, tmp_path_factory
-):
+def test_rolling_restart_drops_nothing(cluster_export_dir, tiny_corpus, tmp_path_factory):
     sequences = [recipe.sequence for recipe in tiny_corpus.recipes[:64]]
     workload = build_workload(
         sequences,
@@ -38,8 +31,7 @@ def test_rolling_restart_drops_nothing(
         workers=2,
         export_dir=cluster_export_dir,
         route="cuisine",
-        mode=mode,
-        workdir=tmp_path_factory.mktemp(f"roll-{mode}"),
+        workdir=tmp_path_factory.mktemp("roll"),
         worker_args=["--drain-timeout", "15.0"],
     )
     handle = supervisor.start_in_thread()

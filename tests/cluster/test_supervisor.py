@@ -83,7 +83,6 @@ class TestFleetObservability:
         health = handle.fleet_health()
         assert health["status"] == "ok"
         cluster = health["cluster"]
-        assert cluster["mode"] == supervisor.mode
         assert cluster["port"] == handle.port
         assert cluster["workers"] == 2
         assert cluster["target_workers"] == 2

@@ -1,8 +1,9 @@
-"""Cross-process trace stitching: balancer hop + worker spans, one id.
+"""Fleet tracing: every worker's trace store, served from the control port.
 
-A predict through a balancer-mode fleet must produce a single trace whose
-balancer ``balancer.relay`` span parents the worker's ``server.request``
-chain, and the supervisor's control plane must serve the merged view.
+A predict on the shared port echoes a trace id that resolves on the
+supervisor's control port to the one worker that served it.  Workers share
+one trace seed and count keys independently, so the worker id folded into
+each id is what keeps two workers from minting one id for two requests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ def traced_fleet(cluster_export_dir, tmp_path_factory):
         workers=2,
         export_dir=cluster_export_dir,
         route="cuisine",
-        mode="balancer",
         workdir=tmp_path_factory.mktemp("traced-fleet"),
         worker_args=["--drain-timeout", "10.0"],
     )
@@ -38,6 +38,7 @@ def fanout_sequences(tiny_corpus):
 
 
 def predict_trace_id(handle, sequence, key):
+    """One predict on a fresh connection; returns the echoed trace id."""
     client = ServerClient(handle.port)
     try:
         status, body = client.request(
@@ -49,57 +50,74 @@ def predict_trace_id(handle, sequence, key):
         client.close()
 
 
+def control_get(handle, path):
+    control = ServerClient(handle.control_port)
+    try:
+        return control.request("GET", path)
+    finally:
+        control.close()
+
+
 class TestFanout:
-    def test_one_trace_spans_balancer_and_worker(self, traced_fleet, fanout_sequences):
+    def test_one_trace_resolves_to_its_worker(self, traced_fleet, fanout_sequences):
         _, handle = traced_fleet
         trace_id = predict_trace_id(handle, fanout_sequences[0], "user-1")
         assert trace_id and len(trace_id) == 32
 
-        control = ServerClient(handle.control_port)
-        try:
-            status, merged = control.request("GET", f"/debug/traces/{trace_id}")
-        finally:
-            control.close()
+        status, merged = control_get(handle, f"/debug/traces/{trace_id}")
         assert status == 200
         assert merged["trace_id"] == trace_id
-        assert "balancer" in merged["origins"]
-        assert any(origin.startswith("worker-") for origin in merged["origins"])
-
-        by_origin = {}
-        for span in merged["spans"]:
-            by_origin.setdefault(span["origin"], []).append(span)
-        relay = by_origin["balancer"][0]
-        assert relay["name"] == "balancer.relay"
-        worker_spans = next(
-            spans for origin, spans in by_origin.items() if origin != "balancer"
-        )
-        names = [span["name"] for span in worker_spans]
+        (origin,) = merged["origins"]
+        assert origin.startswith("worker-")
+        assert {span["origin"] for span in merged["spans"]} == {origin}
+        names = [span["name"] for span in merged["spans"]]
         assert names[0] == "server.request"
+        assert merged["spans"][0]["parent_id"] is None
         assert "gateway.route" in names and "service.batch" in names
-        # The worker root is stitched under the balancer's relay span.
-        assert worker_spans[0]["parent_id"] == relay["span_id"]
 
     def test_fleet_listing_folds_origins(self, traced_fleet, fanout_sequences):
         _, handle = traced_fleet
         trace_id = predict_trace_id(handle, fanout_sequences[1], "user-2")
-        control = ServerClient(handle.control_port)
-        try:
-            status, body = control.request("GET", "/debug/traces")
-        finally:
-            control.close()
+        status, body = control_get(handle, "/debug/traces")
         assert status == 200
         summary = next(s for s in body["traces"] if s["trace_id"] == trace_id)
-        assert "balancer" in summary["origins"]
-        assert summary["spans"] >= 2  # balancer relay + worker chain
-        assert "balancer" in body["stats"]
-        assert any(name.startswith("worker-") for name in body["stats"])
+        (origin,) = summary["origins"]
+        assert origin.startswith("worker-")
+        assert summary["spans"] >= 3  # server.request → gateway.route → service.batch
+        assert set(body["stats"]) == {"worker-0", "worker-1"}
 
     def test_unknown_trace_is_404_fleet_wide(self, traced_fleet):
         _, handle = traced_fleet
-        control = ServerClient(handle.control_port)
-        try:
-            status, body = control.request("GET", "/debug/traces/" + "e" * 32)
-        finally:
-            control.close()
+        status, body = control_get(handle, "/debug/traces/" + "e" * 32)
         assert status == 404
         assert body["error"]["code"] == "unknown_trace"
+
+    def test_one_key_on_fresh_connections_never_shares_an_id(
+        self, traced_fleet, fanout_sequences
+    ):
+        """Each fresh connection lands on a kernel-chosen worker, so both
+        workers count ``user-fresh`` from zero; the ids must still differ."""
+        _, handle = traced_fleet
+        n = 16
+        ids = [
+            predict_trace_id(handle, fanout_sequences[i % 2], "user-fresh")
+            for i in range(n)
+        ]
+        assert len(set(ids)) == n
+
+        status, body = control_get(handle, "/debug/traces")
+        assert status == 200
+        rows = [row for row in body["traces"] if row["key"] == "user-fresh"]
+        assert sorted(row["trace_id"] for row in rows) == sorted(ids)
+        assert all(len(row["origins"]) == 1 for row in rows)
+        # Both workers took some of the connections, or the check is void.
+        assert {row["origins"][0] for row in rows} == {"worker-0", "worker-1"}
+
+        for trace_id in ids:
+            status, merged = control_get(handle, f"/debug/traces/{trace_id}")
+            assert status == 200
+            roots = [
+                span for span in merged["spans"]
+                if span["name"] == "server.request" and span["parent_id"] is None
+            ]
+            assert len(roots) == 1, merged["origins"]

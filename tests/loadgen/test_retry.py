@@ -1,14 +1,13 @@
-"""HTTPTarget's single connection-level retry and MultiHTTPTarget striping."""
+"""HTTPTarget's single connection-level retry."""
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 
 import pytest
 
 from repro.loadgen.client import ClientResponse
-from repro.loadgen.harness import ERROR, OK, SHED, HTTPTarget, MultiHTTPTarget
+from repro.loadgen.harness import ERROR, OK, SHED, HTTPTarget
 
 
 class FlakyPool:
@@ -80,43 +79,3 @@ class TestHTTPTargetRetry:
         target = _target_with_pool(pool)
         asyncio.run(target.predict(("x",), "k"))
         assert pool.calls == 1
-
-
-class TestMultiHTTPTarget:
-    ADDRESSES = [("127.0.0.1", 9001), ("127.0.0.1", 9002), ("127.0.0.1", 9003)]
-
-    def test_empty_addresses_rejected(self):
-        with pytest.raises(ValueError, match="at least one address"):
-            MultiHTTPTarget([], "cuisine")
-
-    def test_striping_is_deterministic(self):
-        first = MultiHTTPTarget(self.ADDRESSES, "cuisine")
-        second = MultiHTTPTarget(self.ADDRESSES, "cuisine")
-        for index in range(50):
-            key = f"user-{index}"
-            assert first._member(key).port == second._member(key).port
-            assert first._member(key) is first._member(key)
-
-    def test_striping_matches_blake2b(self):
-        target = MultiHTTPTarget(self.ADDRESSES, "cuisine")
-        key = "user-17"
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        expected = int.from_bytes(digest, "big") % len(self.ADDRESSES)
-        assert target._member(key) is target._targets[expected]
-
-    def test_every_member_gets_a_share(self):
-        target = MultiHTTPTarget(self.ADDRESSES, "cuisine")
-        owners = {target._member(f"user-{index}").port for index in range(100)}
-        assert owners == {port for _, port in self.ADDRESSES}
-
-    def test_predict_delegates_to_the_owning_member(self):
-        target = MultiHTTPTarget(self.ADDRESSES, "cuisine")
-        member = target._member("user-17")
-        pool = FlakyPool([ConnectionResetError()])
-        member._pool = pool
-        # Other members would explode if touched (no server is listening and
-        # their pools are unset real pools pointing at closed ports) — but
-        # only the owning member's scripted pool is exercised.
-        assert asyncio.run(target.predict(("x",), "user-17")) == (OK, None)
-        assert pool.calls == 2
-        assert target.retries == 1  # aggregated over members

@@ -191,17 +191,6 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             embedding(np.array([[7]]))
 
-    def test_load_pretrained(self):
-        embedding = Embedding(6, 3)
-        matrix = np.arange(18, dtype=float).reshape(6, 3)
-        embedding.load_pretrained(matrix)
-        assert np.allclose(embedding.weight.data, matrix)
-
-    def test_load_pretrained_shape_mismatch(self):
-        embedding = Embedding(6, 3)
-        with pytest.raises(ValueError):
-            embedding.load_pretrained(np.zeros((5, 3)))
-
 
 class TestLayerNorm:
     def test_normalises_last_dimension(self):

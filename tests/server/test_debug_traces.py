@@ -134,6 +134,18 @@ class TestTraceRetrieval:
                 handle.stop()
         assert ids[0] == ids[1]
 
+    def test_lone_server_mints_the_frozen_seeded_ids(self, traced_client, server_sequences):
+        """``worker_id=None`` keeps the ids of a default-seeded replay."""
+        ids = [
+            predict(traced_client, server_sequences[0], key=key)
+            for key in ("user-1", "user-1", "user-2")
+        ]
+        assert ids == [
+            "61dc1a9a53500f93703ab103751c4f27",
+            "401d287ef73bb46d150d4951a9763b88",
+            "4aefeb08e836a605f7806dde897aa007",
+        ]
+
     def test_upstream_header_is_adopted(self, traced_client, server_sequences):
         upstream_id = "ab" * 16
         status, _ = traced_client.request(

@@ -14,6 +14,7 @@ import socket
 import numpy as np
 import pytest
 
+from repro.server import ModelServer
 from tests.server.conftest import ServerClient, parse_metrics_text
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
@@ -132,6 +133,23 @@ def test_pipelined_requests_answered_in_order(running_server, server_sequences):
             assert chunk, f"connection closed early after {received!r}"
             received += chunk
     assert received.count(b'"label"') == 3
+
+
+def test_unhandled_error_is_a_500_and_the_connection_survives(
+    monkeypatch, client, server_sequences
+):
+    async def broken(self, route, request):
+        raise RuntimeError("boom")
+
+    payload = {"sequence": list(server_sequences[0])}
+    monkeypatch.setattr(ModelServer, "_handle_predict", broken)
+    status, body = client.request("POST", "/routes/cuisine/predict", payload)
+    assert status == 500
+    assert body["error"]["code"] == "internal_error"
+    assert "boom" not in body["error"]["message"]  # never a traceback on the wire
+    monkeypatch.undo()
+    status, body = client.request("POST", "/routes/cuisine/predict", payload)
+    assert status == 200 and body["route"] == "cuisine"
 
 
 # ----------------------------------------------------------------------

@@ -70,11 +70,41 @@ class TestDeterministicIds:
         ]
         assert ids == expected
 
+    def test_lone_tracer_ids_are_frozen(self):
+        """No ``worker_id`` mints the ids a seeded replay has always had."""
+        tracer = Tracer(seed=0)
+        assert [tracer.trace_id_for(key) for key in ("user-1", "user-1", "user-2")] == [
+            "61dc1a9a53500f93703ab103751c4f27",
+            "401d287ef73bb46d150d4951a9763b88",
+            "4aefeb08e836a605f7806dde897aa007",
+        ]
+
+    def test_workers_sharing_a_seed_never_share_an_id(self):
+        keys = [f"user-{i % 3}" for i in range(30)]
+        tracers = [Tracer(seed=0), Tracer(seed=0, worker_id=0), Tracer(seed=0, worker_id=1)]
+        minted = [[tracer.trace_id_for(key) for key in keys] for tracer in tracers]
+        assert len(set().union(*minted)) == 3 * len(keys)
+        again = Tracer(seed=0, worker_id=1)
+        assert [again.trace_id_for(key) for key in keys] == minted[2]  # replayable
+
+    def test_worker_id_too_long_is_rejected(self):
+        Tracer(worker_id=10**15)
+        with pytest.raises(ValueError, match="worker_id"):
+            Tracer(worker_id=10**16)
+
 
 class TestSampling:
     def test_sample_extremes(self):
         assert Tracer(sample=1.0).head_sampled("any")
         assert not Tracer(sample=0.0).head_sampled("any")
+
+    def test_verdict_ignores_the_worker(self):
+        lone = Tracer(seed=3, sample=0.3)
+        workers = [Tracer(seed=3, sample=0.3, worker_id=index) for index in range(3)]
+        for index in range(200):
+            key = f"user-{index}"
+            verdict = lone.head_sampled(key)
+            assert all(worker.head_sampled(key) == verdict for worker in workers)
 
     def test_verdict_is_per_key_consistent(self):
         tracer = Tracer(seed=3, sample=0.5)

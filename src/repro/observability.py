@@ -422,18 +422,23 @@ def process_stats() -> dict:
 
     ``uptime_seconds`` counts from module import (monotonic clock),
     ``peak_rss_bytes`` is the high-water resident set (``ru_maxrss``,
-    which macOS reports in bytes and Linux in KiB), plus ``pid`` and the
-    interpreter version.  The fleet merge treats ``pid`` as a list and
-    ``uptime_seconds`` as the max — see ``repro.cluster.metrics``.
+    which macOS reports in bytes and Linux in KiB), ``minor_faults`` the
+    page faults served without I/O so far (``ru_minflt``), plus ``pid`` and
+    the interpreter version.  The fleet merge treats ``pid`` as a list,
+    ``uptime_seconds`` as the max and sums the counters — see
+    ``repro.cluster.metrics``.
     """
-    peak_rss_bytes = 0
+    peak_rss_bytes = minor_faults = 0
     if resource is not None:
-        ru_maxrss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        ru_maxrss = int(usage.ru_maxrss)
         peak_rss_bytes = ru_maxrss if sys.platform == "darwin" else ru_maxrss * 1024
+        minor_faults = int(usage.ru_minflt)
     return {
         "pid": os.getpid(),
         "uptime_seconds": time.monotonic() - _PROCESS_START_MONOTONIC,
         "peak_rss_bytes": peak_rss_bytes,
+        "minor_faults": minor_faults,
         "python_version": platform.python_version(),
     }
 

@@ -11,11 +11,15 @@ alter the artifact — a shuffled sequence, a dropped cuisine, a different
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.data.recipedb import CorpusShard, RecipeDB
+
+if TYPE_CHECKING:
+    from repro.text.pipeline import PipelineConfig
 
 
 def _jsonable(value: Any) -> Any:
@@ -69,12 +73,30 @@ def artifact_key(*parts: Any) -> str:
     return "-".join(resolved)
 
 
-def sequence_key(sequence: Sequence[str], pipeline_config: Any) -> str:
+@functools.lru_cache(maxsize=256)
+def _config_digest(config: Any, config_repr: str) -> str:
+    # ``config_repr`` keeps apart equal configs that stable_hash tells apart,
+    # such as a field set to ``1`` and the same field set to ``True``.
+    return stable_hash(config)
+
+
+def config_key(config: PipelineConfig) -> str:
+    """``stable_hash(config)``, computed once per distinct pipeline config."""
+    return _config_digest(config, repr(config))
+
+
+def sequence_key(sequence: Sequence[str], pipeline_config: PipelineConfig) -> str:
     """Cache key of a single raw item sequence under a pipeline config.
 
     Shared by :meth:`~repro.pipeline.store.FeatureStore.sequence_tokens` and
     the corpus engine's serving warm-up, so a sequence featurized as part of
     a corpus shard and the same sequence arriving as a prediction request
-    resolve to the same artifact.
+    resolve to the same artifact.  Equal to
+    ``artifact_key(stable_hash(tuple(sequence)), pipeline_config)``: the
+    sequence's JSON dump is the payload ``stable_hash`` would build.
     """
-    return artifact_key(stable_hash(tuple(sequence)), pipeline_config)
+    payload = json.dumps(
+        list(sequence), sort_keys=True, separators=(",", ":"), default=repr
+    )
+    digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
+    return f"{digest}-{config_key(pipeline_config)}"

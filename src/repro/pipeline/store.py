@@ -28,7 +28,7 @@ from scipy import sparse
 
 from repro.data.recipedb import RecipeDB
 from repro.features.tfidf import TfidfVectorizer
-from repro.pipeline.fingerprint import artifact_key, sequence_key, stable_hash
+from repro.pipeline.fingerprint import artifact_key, config_key, sequence_key
 from repro.pipeline.specs import (
     FeatureSpec,
     ModelInputs,
@@ -322,7 +322,7 @@ class FeatureStore:
     # preprocessing artifacts
     # ------------------------------------------------------------------
     def _pipeline_for(self, config: PipelineConfig) -> PreprocessingPipeline:
-        key = stable_hash(config)
+        key = config_key(config)
         pipeline = self._pipelines.get(key)
         if pipeline is None:
             with self._lock:

@@ -24,7 +24,7 @@ from typing import Sequence
 from scipy import sparse
 
 from repro.features.tfidf import TfidfVectorizer
-from repro.pipeline.fingerprint import sequence_key, stable_hash
+from repro.pipeline.fingerprint import config_key, sequence_key
 from repro.pipeline.store import FeatureStore, _load_json, _save_json
 from repro.text.pipeline import PipelineConfig
 from repro.text.stages import StageChain
@@ -63,7 +63,7 @@ class BatchFeaturizer:
     def _chain_and_memo(
         self, config: PipelineConfig
     ) -> tuple[StageChain, OrderedDict[str, list[str]]]:
-        key = stable_hash(config)
+        key = config_key(config)
         with self._lock:
             chain = self._chains.get(key)
             if chain is None:

@@ -34,7 +34,6 @@ from repro.trace.tracing import (
     activate,
     current_span_id,
     current_trace,
-    format_trace_header,
     parse_trace_header,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "activate",
     "current_span_id",
     "current_trace",
-    "format_trace_header",
     "load_traces_jsonl",
     "parse_trace_header",
     "save_traces_jsonl",

@@ -78,17 +78,6 @@ class TraceStore:
                 self._exemplar_ms = duration_ms
         return True
 
-    def put(self, payload: dict[str, Any]) -> None:
-        """Insert an externally-built trace dict (fleet merges, replays)."""
-        trace_id = str(payload.get("trace_id", ""))
-        if not trace_id:
-            return
-        with self._lock:
-            self._traces[trace_id] = payload
-            self._traces.move_to_end(trace_id)
-            while len(self._traces) > self.capacity:
-                self._traces.popitem(last=False)
-
     # ------------------------------------------------------------------
 
     def get(self, trace_id: str) -> dict[str, Any] | None:

@@ -384,14 +384,6 @@ def activate(trace: Trace | None, parent: str | None = None) -> Iterator[None]:
 # header propagation
 
 
-def format_trace_header(trace: Trace, *, parent: str | None = None) -> str:
-    """Render the ``X-Repro-Trace`` value for a downstream hop."""
-    value = f"{trace.trace_id};sampled={1 if trace.sampled else 0}"
-    if parent:
-        value += f";parent={parent}"
-    return value
-
-
 def parse_trace_header(value: str) -> tuple[str, bool, str | None] | None:
     """Parse an ``X-Repro-Trace`` value → ``(trace_id, sampled, parent)``.
 

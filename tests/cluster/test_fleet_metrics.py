@@ -207,6 +207,17 @@ class TestProcessGaugeMerging:
         assert merged["process"]["peak_rss_bytes"] == 350
         assert merged["process"]["python_version"] == "3.11.7"
 
+    def test_minor_faults_sum(self):
+        """``minor_faults`` is a per-process int counter: the fleet's is the sum."""
+        workers = [
+            {"process": {"pid": 11, "peak_rss_bytes": 100, "minor_faults": 1_936}},
+            {"process": {"pid": 12, "peak_rss_bytes": 250, "minor_faults": 27}},
+            {"process": {"pid": 13, "peak_rss_bytes": 50, "minor_faults": 0}},
+        ]
+        merged = merge_health_snapshots(workers)
+        assert merged["process"]["minor_faults"] == 1_963
+        assert merged["process"]["pid"] == [11, 12, 13]
+
 
 class TestRatioGauges:
     """Ratio gauges merge from their parts, weighted by each worker's traffic."""

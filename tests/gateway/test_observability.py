@@ -338,11 +338,13 @@ class TestProcessStats:
     def test_shape_and_types(self):
         stats = process_stats()
         assert set(stats) == {
-            "pid", "uptime_seconds", "peak_rss_bytes", "python_version",
+            "pid", "uptime_seconds", "peak_rss_bytes", "minor_faults",
+            "python_version",
         }
         assert stats["pid"] == os.getpid()
         assert stats["uptime_seconds"] > 0.0
         assert stats["peak_rss_bytes"] > 1024 * 1024  # a real interpreter RSS
+        assert isinstance(stats["minor_faults"], int) and stats["minor_faults"] > 0
         assert stats["python_version"].count(".") == 2
         json.dumps(stats)
 
@@ -367,9 +369,12 @@ class TestProcessStats:
 
         usage = Usage()
         usage.ru_maxrss = ru_maxrss
+        usage.ru_minflt = 7
         monkeypatch.setattr(observability.sys, "platform", platform_name)
         monkeypatch.setattr(observability.resource, "getrusage", lambda who: usage)
-        assert process_stats()["peak_rss_bytes"] == expected
+        stats = process_stats()
+        assert stats["peak_rss_bytes"] == expected
+        assert stats["minor_faults"] == 7
 
 
 class TestMergeEdgeCases:

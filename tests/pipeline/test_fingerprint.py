@@ -1,11 +1,21 @@
 """Tests for corpus/config fingerprinting (the feature-store cache keys)."""
 
+import random
+
 import pytest
 
 from repro.core.experiment import shuffle_recipe_sequences
 from repro.data.generator import GeneratorConfig, RecipeDBGenerator
 from repro.data.recipedb import RecipeDB
-from repro.pipeline.fingerprint import artifact_key, corpus_fingerprint, stable_hash
+from repro.pipeline import fingerprint
+from repro.pipeline.fingerprint import (
+    artifact_key,
+    corpus_fingerprint,
+    sequence_key,
+    stable_hash,
+)
+from repro.pipeline.store import FeatureStore
+from repro.serving.featurizer import BatchFeaturizer
 from repro.text.pipeline import PipelineConfig
 
 
@@ -28,6 +38,85 @@ class TestStableHash:
         key = artifact_key("abc", PipelineConfig())
         assert key.startswith("abc-")
         assert key == artifact_key("abc", PipelineConfig())
+
+
+def _random_sequences(count: int, seed: int = 0) -> list[tuple[str, ...]]:
+    """Item sequences over an alphabet of quotes, escapes, non-ASCII and
+    separators, including empty sequences and empty items."""
+    alphabet = ["a", "b", " ", '"', "\\", "\n", "\x00", "é", "日", "😀", "\u2028", "_", ","]
+    rng = random.Random(seed)
+    return [
+        tuple(
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+            for _ in range(rng.randint(0, 5))
+        )
+        for _ in range(count)
+    ]
+
+
+class TestSequenceKey:
+    def test_golden_digest(self):
+        # Taken from the generic stable_hash path; a changed byte here means
+        # every cached and persisted sequence artifact is orphaned.
+        assert sequence_key(("pasta", "tomato", "basil", "boil", "pot"), PipelineConfig()) == (
+            "c33a8de082c15ba73931ebfdd37f8c21-9301c39d02497df977f62edb3d5d8856"
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        [PipelineConfig(), PipelineConfig(split_items=True), PipelineConfig(item_separator='"é')],
+    )
+    def test_equals_generic_key(self, config):
+        sequences = _random_sequences(300) + [(), ("",), ('"',), ("a,b", "c")]
+        for sequence in sequences:
+            expected = artifact_key(stable_hash(tuple(sequence)), config)
+            assert sequence_key(sequence, config) == expected
+            assert sequence_key(list(sequence), config) == expected
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [(1, "a"), ("a", None), (1.5,), ("a", ("nested", 2)), ("a", True)],
+    )
+    def test_non_str_items_match_the_generic_key(self, sequence):
+        config = PipelineConfig()
+        assert sequence_key(sequence, config) == artifact_key(
+            stable_hash(tuple(sequence)), config
+        )
+
+    def test_equal_configs_with_distinct_digests_keep_their_own_keys(self):
+        # PipelineConfig(lowercase=1) == PipelineConfig(lowercase=True), yet
+        # stable_hash tells 1 from True; the cached digest must too, whichever
+        # of the two is hashed first.
+        fingerprint._config_digest.cache_clear()
+        sequence = ("salt", "onion")
+        as_int, as_bool = PipelineConfig(lowercase=1), PipelineConfig(lowercase=True)
+        assert as_int == as_bool
+        int_key = sequence_key(sequence, as_int)
+        bool_key = sequence_key(sequence, as_bool)
+        assert int_key != bool_key
+        assert int_key == artifact_key(stable_hash(sequence), as_int)
+        assert bool_key == artifact_key(stable_hash(sequence), as_bool)
+
+    def test_config_is_hashed_once_per_config(self, monkeypatch):
+        calls = []
+        original = fingerprint.stable_hash
+
+        def counting(value, *args, **kwargs):
+            if isinstance(value, PipelineConfig):
+                calls.append(value)
+            return original(value, *args, **kwargs)
+
+        monkeypatch.setattr(fingerprint, "stable_hash", counting)
+        fingerprint._config_digest.cache_clear()
+        sequences = _random_sequences(50, seed=1)
+        for sequence in sequences:
+            sequence_key(sequence, PipelineConfig())  # a fresh, equal config
+        assert calls == [PipelineConfig()]
+
+        featurizer, store = BatchFeaturizer(), FeatureStore()
+        for _ in range(3):
+            featurizer.batch_tokens(sequences, PipelineConfig(split_items=True), store)
+        assert calls == [PipelineConfig(), PipelineConfig(split_items=True)]
 
 
 class TestCorpusFingerprint:

@@ -103,13 +103,6 @@ class TestExemplar:
 
 
 class TestPutAndStats:
-    def test_put_inserts_external_payloads(self):
-        store = TraceStore(4)
-        store.put({"trace_id": "d" * 32, "spans": []})
-        assert store.get("d" * 32) == {"trace_id": "d" * 32, "spans": []}
-        store.put({"spans": []})  # no id: ignored
-        assert len(store) == 1
-
     def test_stats_shape_and_accounting(self):
         store = TraceStore(4, slow_ms=20.0)
         store.offer(make_trace("a" * 32, sampled=True, duration_ms=30.0))

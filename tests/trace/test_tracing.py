@@ -18,7 +18,6 @@ from repro.trace import (
     activate,
     current_span_id,
     current_trace,
-    format_trace_header,
     parse_trace_header,
 )
 
@@ -228,13 +227,12 @@ class TestContextPropagation:
 
 class TestHeader:
     def test_round_trip(self):
-        trace = Trace("ab" * 16, "k", sampled=True)
-        value = format_trace_header(trace, parent="s3")
+        value = "ab" * 16 + ";sampled=1;parent=s3"
         assert parse_trace_header(value) == ("ab" * 16, True, "s3")
 
     def test_unsampled_and_parentless(self):
-        trace = Trace("cd" * 16, "k", sampled=False)
-        assert parse_trace_header(format_trace_header(trace)) == ("cd" * 16, False, None)
+        assert parse_trace_header("cd" * 16 + ";sampled=0") == ("cd" * 16, False, None)
+        assert parse_trace_header("cd" * 16) == ("cd" * 16, False, None)
 
     @pytest.mark.parametrize(
         "value",

@@ -53,10 +53,12 @@ _INT_NARROWING: tuple[type, ...] = (np.int8, np.int16, np.int32)
 
 @dataclass(frozen=True)
 class DtypePolicy:
-    """Opt-in storage dtype policy for bundle arrays.
+    """Storage dtype policy for bundle arrays.
 
     The default policy (``"exact"``) stores every array exactly as the model
-    produced it.  Slimmer policies downcast *where a recorded tolerance check
+    produced it; :meth:`~repro.models.base.CuisineModel.save_bundle` uses it
+    for the statistical models and ``"float32"`` for the neural families.
+    Slimmer policies downcast *where a recorded tolerance check
     passes*: a float array is stored as ``float_dtype`` only when the
     round-trip ``allclose(array, array.astype(f).astype(original))`` holds at
     (*rtol*, *atol*); integer arrays are narrowed to the smallest of
@@ -69,7 +71,7 @@ class DtypePolicy:
     Shorthands accepted by :meth:`resolve` (and thus by
     ``save_bundle``/``write_bundle``):
 
-    * ``None`` / ``"exact"`` — store everything untouched (the default);
+    * ``None`` / ``"exact"`` — store everything untouched;
     * ``"float32"`` — floats to float32 where the tolerance passes;
     * ``"slim"`` — ``"float32"`` plus lossless integer narrowing.
     """

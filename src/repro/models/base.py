@@ -80,7 +80,7 @@ class CuisineModel(abc.ABC):
         """Fitted state as a nested dict of arrays and JSON-able values.
 
         Together with :meth:`set_state` this forms the artifact protocol: the
-        round-trip through a saved bundle must reproduce
+        round-trip through an exact bundle must reproduce
         :meth:`predict_proba` bitwise.  Model families implement it by
         delegating to their substrates (``repro.ml`` estimator states, the
         ``repro.nn`` module state dicts, vectorizer/vocabulary states).
@@ -211,6 +211,11 @@ class CuisineModel(abc.ABC):
     # ------------------------------------------------------------------
     # bundle persistence
     # ------------------------------------------------------------------
+    #: Storage dtype policy of :meth:`save_bundle` when none is given.
+    #: Statistical models store exactly; the neural families override it
+    #: with ``"float32"``, and a float32 bundle runs its forward in float32.
+    DEFAULT_DTYPE_POLICY: str = "exact"
+
     def save_bundle(self, path: str | Path, dtype_policy=None) -> Path:
         """Persist the fitted model as a self-contained bundle directory.
 
@@ -218,17 +223,20 @@ class CuisineModel(abc.ABC):
         :mod:`repro.models.artifacts`) carries the registry name, label
         space, serialized feature spec, training-corpus fingerprint and the
         full :meth:`get_state` tree — everything :meth:`load_bundle` needs to
-        reproduce :meth:`predict_proba` bitwise in another process.
+        reproduce the loaded model's :meth:`predict_proba` bitwise in another
+        process.
 
         Args:
             path: Bundle directory to write.
-            dtype_policy: Opt-in storage dtype policy
+            dtype_policy: Storage dtype policy
                 (:class:`~repro.models.artifacts.DtypePolicy` or the
-                shorthands ``"exact"``/``"float32"``/``"slim"``).  The default
-                stores arrays exactly; slimmer policies downcast where the
-                policy's recorded tolerance check passes, trading bitwise
-                reproducibility (tracked by the manifest's ``exact`` flag)
-                for smaller bundles.
+                shorthands ``"exact"``/``"float32"``/``"slim"``).  ``None``
+                takes the family's :attr:`DEFAULT_DTYPE_POLICY`: exact for
+                the statistical models, ``"float32"`` for LSTM, BERT and
+                RoBERTa.  An exact bundle predicts bitwise like the
+                in-memory model; a downcast one (the manifest's ``exact``
+                flag is false) trades that for a smaller bundle and, for the
+                neural families, a float32 forward pass.
         """
         from repro.models.artifacts import write_bundle
 
@@ -242,6 +250,8 @@ class CuisineModel(abc.ABC):
             "feature_spec": spec_to_dict(self.feature_spec()),
             "corpus_fingerprint": fingerprint,
         }
+        if dtype_policy is None:
+            dtype_policy = self.DEFAULT_DTYPE_POLICY
         return write_bundle(path, manifest, self.get_state(), dtype_policy=dtype_policy)
 
     #: fnmatch patterns (against bundle state-array keys, e.g.

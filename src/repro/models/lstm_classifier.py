@@ -76,6 +76,7 @@ class LSTMCuisineClassifier(CuisineModel):
     """Table IV "LSTM" — the sequential recurrent baseline."""
 
     name = "lstm"
+    DEFAULT_DTYPE_POLICY = "float32"
 
     def __init__(
         self,

@@ -85,6 +85,7 @@ class TransformerCuisineClassifier(CuisineModel):
     """A transformer encoder fine-tuned for cuisine classification."""
 
     name = "transformer"
+    DEFAULT_DTYPE_POLICY = "float32"
 
     def __init__(
         self,

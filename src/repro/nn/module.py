@@ -99,6 +99,11 @@ class Module:
         raises listing every missing and unexpected key.  Shapes are always
         validated for *all* keys before any parameter is assigned, so a
         failed load never leaves the module partially overwritten.
+
+        The module then runs one dtype: ``float32`` when every parameter it
+        ends up with is ``float32`` (a float32 bundle), ``float64``
+        otherwise.  A partly downcast state is cast up once here, so the
+        forward never mixes the two.
         """
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
@@ -114,7 +119,7 @@ class Module:
         for name, parameter in own.items():
             if name not in state:
                 continue
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.asarray(state[name])
             if value.shape != parameter.data.shape:
                 mismatched.append(f"{name}: saved {value.shape} != model {parameter.data.shape}")
             else:
@@ -124,5 +129,7 @@ class Module:
                 "state dict shape mismatch, no parameters were modified: "
                 + "; ".join(mismatched)
             )
+        final = [prepared.get(name, parameter.data) for name, parameter in own.items()]
+        dtype = np.float32 if all(v.dtype == np.float32 for v in final) else np.float64
         for name, value in prepared.items():
-            own[name].data = value.copy()
+            own[name].data = value.astype(dtype)

@@ -112,13 +112,16 @@ class LSTM(Module):
             has shape ``(batch, hidden_dim)``.
         """
         batch, length, _ = inputs.shape
+        dtype = inputs.data.dtype
+        if mask is not None:
+            mask = np.asarray(mask, dtype=dtype)
         layer_input = inputs
         final_hidden: Tensor | None = None
         outputs: Tensor | None = None
 
         for layer_index, cell in enumerate(self.cells):
-            h = Tensor(np.zeros((batch, self.hidden_dim)))
-            c = Tensor(np.zeros((batch, self.hidden_dim)))
+            h = Tensor(np.zeros((batch, self.hidden_dim), dtype=dtype))
+            c = Tensor(np.zeros((batch, self.hidden_dim), dtype=dtype))
             step_outputs: list[Tensor] = []
             for t in range(length):
                 x_t = layer_input[:, t, :]

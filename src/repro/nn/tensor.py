@@ -11,6 +11,7 @@ masks and concatenation.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -38,6 +39,11 @@ def grad_enabled() -> bool:
     return getattr(_GRAD_STATE, "enabled", True)
 
 
+#: The GELU constant sqrt(2 / pi), a Python float so that it stays weak under
+#: NEP 50 (an ``np.float64`` scalar would run a ``float32`` GELU in float64).
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
 def _unbroadcast(gradient: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum *gradient* down to *shape* (reverse of NumPy broadcasting)."""
     if gradient.shape == shape:
@@ -55,8 +61,13 @@ def _unbroadcast(gradient: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A NumPy array with optional gradient tracking.
 
+    A tensor computes in ``float64`` (training, exact bundles) or
+    ``float32`` (the forward of a float32 bundle): ``float32`` data is kept
+    as is, anything else is cast to ``float64``.  Python scalar operands stay
+    NumPy-weak, so they never widen a ``float32`` operation.
+
     Attributes:
-        data: The underlying ``float64`` array.
+        data: The underlying ``float64`` or ``float32`` array.
         grad: Accumulated gradient (same shape as ``data``) after backward.
         requires_grad: Whether gradients flow into this tensor.
     """
@@ -74,7 +85,8 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad and grad_enabled()
         self._parents = _parents if self.requires_grad or _parents else ()
@@ -192,9 +204,19 @@ class Tensor:
     # ------------------------------------------------------------------
     # op plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _lift(value) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
+    def _lift(self, value) -> "Tensor":
+        """*value* as a tensor; a Python scalar takes this tensor's dtype.
+
+        Under NEP 50 a Python scalar is weak but a 0-d ``float64`` array is
+        not: lifting ``0.25`` to ``Tensor(0.25)`` would turn ``x * 0.25``
+        into a ``float64`` result for ``float32`` *x*.  Casting the scalar
+        to this tensor's dtype gives the bytes NumPy's weak scalar gives.
+        """
+        if isinstance(value, Tensor):
+            return value
+        if isinstance(value, (int, float)):
+            return Tensor(np.asarray(value, dtype=self.data.dtype))
+        return Tensor(value)
 
     def _make(self, data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         requires = grad_enabled() and any(
@@ -399,7 +421,7 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation, as in BERT)."""
         x = self.data
-        c = np.sqrt(2.0 / np.pi)
+        c = _GELU_C
         # c * (x + 0.044715 * x**3), in place on one buffer.  The cube is a
         # product: NumPy's scalar-power fast path covers 2, 0.5 and -1 but
         # not 3, so ``x**3`` runs libm ``pow`` on every element.
@@ -440,7 +462,7 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def concat(tensors: Sequence["Tensor"], axis: int = -1) -> "Tensor":
-        tensors = [Tensor._lift(t) for t in tensors]
+        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
         data = np.concatenate([t.data for t in tensors], axis=axis)
         sizes = [t.data.shape[axis] for t in tensors]
         splits = np.cumsum(sizes)[:-1]
@@ -453,7 +475,7 @@ class Tensor:
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._lift(t) for t in tensors]
+        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
         data = np.stack([t.data for t in tensors], axis=axis)
 
         def backward(gradient: np.ndarray):

@@ -27,8 +27,8 @@ REQUIRED_MANIFEST_FIELDS: frozenset[str] = frozenset(
 
 #: Fields a bundle manifest may carry (required ones included).  The dtype
 #: trio is written by every current export (``exact`` true and
-#: ``array_dtypes`` empty under the default policy) and absent from bundles
-#: written before dtype policies existed — both are valid.
+#: ``array_dtypes`` empty under the ``"exact"`` policy) and absent from
+#: bundles written before dtype policies existed — both are valid.
 KNOWN_MANIFEST_FIELDS: frozenset[str] = REQUIRED_MANIFEST_FIELDS | {
     "model_class",
     "corpus_fingerprint",

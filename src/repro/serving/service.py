@@ -30,16 +30,19 @@ load) differs by model family.
 * Statistical models (logreg, Naive Bayes, linear SVM, random forest): no.
   ``TfidfVectorizer.transform`` weights each row on its own, so a lone
   request gets exactly the bytes of its row in any batch.
-* Transformers (BERT, RoBERTa): in the last ulp.  A batch runs at the
-  width of its longest real row, so the attention sums and GEMMs change
-  shape with the batch, and the ``(batch, dim)`` GEMMs over the ``[CLS]``
-  rows run a different BLAS kernel for a single row than for several.
-* LSTM: in the last ulp.  The recurrent ``(batch, hidden)`` GEMMs of every
-  time step differ the same way.
+* Transformers (BERT, RoBERTa): in the last ulp of the bundle's dtype.  A
+  batch runs at the width of its longest real row, so the attention sums
+  and GEMMs change shape with the batch, and the ``(batch, dim)`` GEMMs over
+  the ``[CLS]`` rows run a different BLAS kernel for a single row than for
+  several.
+* LSTM: in the last ulp of the bundle's dtype.  The recurrent
+  ``(batch, hidden)`` GEMMs of every time step differ the same way.
 
-Labels and cached results are stable for every family.  Compare transformer
-and LSTM probabilities across batch compositions with ``np.allclose``, not
-bitwise.
+The neural families export float32 bundles by default, and those run their
+forward in float32, so their ulp is float32's (about 6e-8 relative); an
+exact (float64) bundle's is float64's.  Labels and cached results are
+stable for every family.  Compare transformer and LSTM probabilities across
+batch compositions with ``np.allclose``, not bitwise.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Bundle round-trip tests: every registry model must save/load exactly.
 
-For each registry name the model is fitted on a tiny corpus, exported as a
-bundle, reloaded through the registry-aware loader (a fresh context with no
-feature store or training corpus) and its ``predict_proba`` must be
-**bitwise identical** pre/post reload.
+For each registry name the model is fitted on a tiny corpus, exported as an
+exact bundle, reloaded through the registry-aware loader (a fresh context
+with no feature store or training corpus) and its ``predict_proba`` must be
+**bitwise identical** pre/post reload.  The neural families export float32
+by default: those bundles keep the in-memory model's labels and predict
+bitwise alike across re-saves.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ TINY_TRANSFORMER = TransformerClassifierConfig(
     dim=16, num_heads=2, num_layers=1, ffn_dim=32, max_length=24,
     epochs=1, pretrain_epochs=1, seed=1,
 )
+NEURAL_NAMES = ("lstm", "bert", "roberta")
 FAST_KWARGS = {
     "logreg": {"max_iter": 30},
     "svm_linear": {"max_iter": 30},
@@ -62,7 +65,7 @@ class TestBundleRoundTrip:
         model = _fit(name, splits, label_space)
         reference = model.predict_proba(splits.test)
 
-        path = model.save_bundle(tmp_path / name)
+        path = model.save_bundle(tmp_path / name, dtype_policy="exact")
         assert is_bundle(path)
         loaded = CuisineModel.load_bundle(path)
 
@@ -73,6 +76,20 @@ class TestBundleRoundTrip:
         assert loaded._store is None and loaded._train_corpus is None
         restored = loaded.predict_proba(splits.test)
         np.testing.assert_array_equal(reference, restored)
+
+    @pytest.mark.parametrize("name", NEURAL_NAMES)
+    def test_default_neural_bundle_is_float32(self, name, splits, label_space, tmp_path):
+        model = _fit(name, splits, label_space)
+        loaded = CuisineModel.load_bundle(model.save_bundle(tmp_path / "first"))
+        assert loaded.bundle_manifest["dtype_policy"] == "float32"
+        assert loaded.bundle_manifest["exact"] is False
+        served = loaded.predict_proba(splits.test)
+        assert served.dtype == np.float32
+        np.testing.assert_array_equal(
+            served.argmax(axis=1), model.predict_proba(splits.test).argmax(axis=1)
+        )
+        reloaded = CuisineModel.load_bundle(loaded.save_bundle(tmp_path / "second"))
+        np.testing.assert_array_equal(served, reloaded.predict_proba(splits.test))
 
     def test_manifest_metadata(self, splits, label_space, tmp_path):
         model = _fit("logreg", splits, label_space)

